@@ -11,79 +11,64 @@ This module reproduces that architecture at laptop scale with
 backends are provided:
 
 ``"process"``
-    Real worker processes in a **pipelined** schedule with two
-    interchangeable transports (``transport="shm"|"queue"``, default
-    auto):
-
-    ``"shm"`` — the shared-memory ring data plane. Each ordered worker
-    pair owns a single-producer single-consumer ring buffer in
+    Real worker processes in a **pipelined** schedule over the
+    shared-memory ring data plane. Each ordered worker pair owns a
+    single-producer single-consumer ring buffer in
     :mod:`multiprocessing.shared_memory` (:mod:`repro.lts.shmring`);
-    workers write fixed-width packed codec keys straight into the ring
-    of each successor's owner, gather adaptive wall-clock-targeted
-    quanta out of their inbound rings, and the coordinator is off the
-    steady-state path entirely — it carries only control traffic
-    (per-quantum acknowledgements with the counts and the recovery
-    ledger, relays for blocks a full ring rejected, membership changes,
-    termination). Termination is a double-scan balance check over the
-    ring counters plus the ack and inject ledgers.
+    workers write successor blocks straight into the ring of each
+    successor's owner, gather adaptive wall-clock-targeted quanta out
+    of their inbound rings, and the coordinator is off the steady-state
+    path entirely — it carries only control traffic (per-quantum
+    acknowledgements with the counts and the recovery ledger, relays
+    for blocks a full ring rejected, membership changes, termination).
+    Termination is a double-scan balance check over the ring counters
+    plus the ack and inject ledgers. There is no per-level barrier: a
+    fast partition keeps expanding while a slow one catches up.
 
-    ``"queue"`` — the original coordinator-routed pickled-queue
-    transport (and the fallback for tuple-shipping systems without a
-    codec): the coordinator routes work to state owners the moment it
-    arrives, each owner deduplicates against its local visited set,
-    expands, partitions the successors by owner *worker-side*, and
-    sends them straight back for routing. Termination is detected by
-    outstanding-message counting: every work batch put on the wire
-    increments a counter, every completion message decrements it, and
-    the sweep is finished exactly when the counter is zero and no
-    routed states are pending. (With all traffic flowing through the
-    coordinator, the counter is a degenerate—and exact—form of
-    Mattern's credit scheme; no idle-token round is needed.)
-
-    Neither transport has a per-level barrier — a fast partition keeps
-    expanding while a slow one catches up — and both route ownership
-    through the same :func:`repro.lts.statehash.key_owner`, so the
-    explored LTS never depends on the transport.
+    Every system runs over the rings; only the key format differs
+    (:class:`~repro.lts.shmring.KeyFormat`, chosen once per sweep). A
+    system with a :meth:`codec` (as
+    :class:`~repro.jackal.model.JackalModel` has) ships fixed-width
+    packed codec keys — a ~20-byte integer per state instead of a
+    pickled tuple tree, with the encode/decode cost carried by the
+    workers, in parallel. A system without one ships its states
+    themselves as pickled lists and is deduplicated by state equality.
+    Workers are forked: they inherit the rings and the parent's hash
+    seed, which ownership of string-bearing states depends on, so this
+    backend needs the ``fork`` start method.
 
 ``"inline"``
     The same partitioned algorithm run sequentially in-process in the
-    classical bulk-synchronous level order (deterministic; used for
-    testing the routing logic and on platforms where spawning is
-    expensive).
+    classical bulk-synchronous level order (deterministic; the
+    reference the process backend is tested against, and the backend
+    for platforms without ``fork``).
 
 The ``"process"`` coordinator is **fault tolerant**: eight-node-cluster
 sweeps die with their weakest node, so worker loss is treated as an
-expected event, not a hang. The outbox wait is a timed poll backed by
-worker ``exitcode`` checks (a dead worker is detected within the poll
-interval), every dispatched batch is held in a per-worker in-flight
-ledger until its completion message arrives, and on a crash the dead
-worker's lost batches — in flight and pending — are re-partitioned
-over the surviving workers (:func:`repro.lts.statehash.live_owner`,
-rendezvous hashing: the assignment is stable under *further* crashes,
-so a key re-routed to one survivor never silently migrates to — and
-gets re-counted by — another when a second worker dies later).
-The crashed worker's visited set dies with it, but the coordinator
-reconstructs it exactly from the ledger of batches the worker
-*acknowledged* (a worker adds every item of a batch to its visited set
-before answering), so re-routed states that were already expanded are
-dropped instead of expanded twice: a sweep that loses workers still
-reports exact state/transition totals. The acknowledged-key ledger is
-kept in compact packed form (a fixed-width byte buffer per worker —
-roughly the codec key width per state rather than a duplicate Python
-set) and can be switched off entirely with ``fault_tolerant=False``
-for sweeps so large that the coordinator must not hold any per-state
-record; crashes then still fail fast instead of hanging, they just
-cannot be recovered from. Recovery is observable through
+expected event, not a hang. The control-queue wait is a timed poll
+backed by worker ``exitcode`` checks (a dead worker is detected within
+the poll interval). A quantum's states and transitions are counted iff
+its acknowledgement reaches the coordinator, and a worker releases its
+ring input only after acknowledging it, so a crashed worker's
+unacknowledged input is still in its inbound rings or in the
+coordinator's inject ledger. That input is re-partitioned over the
+surviving workers (:func:`repro.lts.statehash.live_owner`, rendezvous
+hashing: the assignment is stable under *further* crashes, so a key
+re-routed to one survivor never silently migrates to — and gets
+re-counted by — another when a second worker dies later). The crashed
+worker's visited set dies with it, but every acknowledgement carries
+the keys its quantum newly expanded, so the coordinator reconstructs
+that visited set exactly and drops re-routed states that were already
+expanded instead of expanding them twice: a sweep that loses workers
+still reports exact state/transition totals. The acknowledged-key
+ledger (:class:`_AckLedger`) is compact for codec keys — a fixed-width
+byte buffer per worker, roughly the key width per state rather than a
+duplicate Python set. Recovery is observable through
 :class:`DistributedStats` (``worker_deaths``, ``redispatched_batches``,
 ``recovered``) and reproducible on demand through the fault-injection
 harness in :mod:`repro.lts.faults`. Only when *every* worker dies does
 the sweep give up, raising :class:`~repro.errors.WorkerFailureError`
 within one poll interval.
-
-States travel between processes as packed codec keys when the system
-provides a :meth:`codec` (as :class:`~repro.jackal.model.JackalModel`
-does): a ~20-byte integer per state instead of a pickled tuple tree,
-with the encode/decode cost carried by the workers, in parallel.
 
 Ownership hashes are routed through the splitmix64 finaliser
 (:func:`repro.lts.statehash.mix64`): protocol states are nested tuples
@@ -115,9 +100,8 @@ from repro.lts.lts import LTS
 from repro.lts.shmring import (
     DEFAULT_RING_BYTES,
     AdaptiveBatch,
+    KeyFormat,
     RingBuffer,
-    pack_keys,
-    unpack_keys,
 )
 from repro.lts.statehash import key_owner, live_owner
 from repro.obs.core import current as _current_obs
@@ -125,39 +109,36 @@ from repro.obs.memwatch import MemWatch
 from repro.obs.merge import worker_stream_name
 from repro.obs.tracer import Tracer
 
-#: states per work batch (packed keys are ~20 bytes, so a batch fits
-#: comfortably in an OS pipe buffer and never blocks the coordinator)
+#: initial expansion quantum, in states (the adaptive controller
+#: resizes every later quantum from the measured expansion rate)
 _BATCH = 256
-#: work batches a worker may have in flight; >1 keeps its inbox warm
-#: while a completion message is in transit (the pipelining window)
-_WINDOW = 4
-#: default coordinator poll interval: an outbox wait never blocks
+#: default coordinator poll interval: a control-queue wait never blocks
 #: longer than this before worker liveness is re-checked
 _POLL = 0.25
-#: completion messages handled between opportunistic liveness checks,
-#: bounding crash detection latency while the outbox stays busy
+#: control messages handled between opportunistic liveness checks,
+#: bounding crash detection latency while the control queue stays busy
 _CRASH_CHECK_EVERY = 64
-#: shm transport: wall-clock target for one expansion quantum (the
-#: adaptive batch controller sizes quanta to roughly this long; a
-#: parameter sweep put the knee at 10 ms — enough work per ack to
-#: amortise the control round trip without starving peers)
+#: wall-clock target for one expansion quantum (the adaptive batch
+#: controller sizes quanta to roughly this long; a parameter sweep put
+#: the knee at 10 ms — enough work per ack to amortise the control
+#: round trip without starving peers)
 _QUANTUM_TARGET_S = 0.01
-#: shm transport: adaptive quantum bounds
+#: adaptive quantum bounds
 _QUANTUM_LO = 32
 _QUANTUM_HI = 8192
-#: shm transport: longest idle-poll backoff of a starved worker (kept
-#: short — on an oversubscribed host a long sleep here serialises the
-#: pipeline, since the peer that would refill the ring runs next)
+#: longest idle-poll backoff of a starved worker (kept short — on an
+#: oversubscribed host a long sleep here serialises the pipeline, since
+#: the peer that would refill the ring runs next)
 _IDLE_BACKOFF_MAX = 0.002
 #: worker-process startup deadline (spawn barrier; generous — covers
 #: a cold ``fork`` + codec construction on a loaded machine)
 _SPAWN_DEADLINE = 60.0
 #: 64-bit mask for the worker-loop-inlined splitmix64 finaliser
 _M64 = (1 << 64) - 1
-#: shm transport: entry cap on the worker-local ship memo and
-#: shipped-key filter; both are pure caches whose clearing costs only
-#: repeated work (re-encodes, duplicate ships the consumer dedups), so
-#: capping them bounds worker memory without touching exactness
+#: entry cap on the worker-local ship memo and shipped-key filter;
+#: both are pure caches whose clearing costs only repeated work
+#: (re-encodes, duplicate ships the consumer dedups), so capping them
+#: bounds worker memory without touching exactness
 _SHIP_CACHE_MAX = 200_000
 
 
@@ -170,30 +151,31 @@ class DistributedStats:
     states / transitions:
         Exact totals (hash partitioning does not lose states, unlike
         bitstate hashing — each owner keeps an exact visited set).
-        Exactness survives worker crashes: lost batches are re-expanded
-        and re-reported work is deduplicated at the coordinator.
+        Exactness survives worker crashes: lost input is re-expanded
+        and already-expanded keys are filtered at the coordinator.
     deadlocks:
         Terminal states encountered.
     per_worker_states:
         Visited-set size per worker; the balance of this vector is the
         classical health metric of hash partitioning. For a crashed
         worker this is the size its visited set had reached when it
-        died (the count carried by its last acknowledged batch).
+        died (the count carried by its last acknowledged quantum).
     per_worker_batches:
-        Work batches each worker expanded (pipelined backend only);
-        measures scheduling balance as opposed to storage balance.
+        Expansion quanta each worker acknowledged (pipelined backend
+        only); measures scheduling balance as opposed to storage
+        balance.
     levels:
-        Bulk-synchronous backends: BFS levels processed. Pipelined
+        Bulk-synchronous backend: BFS levels processed. Pipelined
         backend: the maximum routing depth, an upper bound on the BFS
         depth.
     batches:
-        Total work batches routed (pipelined backend only).
+        Total expansion quanta acknowledged (pipelined backend only).
     worker_deaths:
         Worker processes that died mid-sweep (pipelined backend only).
     redispatched_batches:
-        Work batches whose assignment was lost to a crash — in flight
-        at, or still pending for, a dead worker — and were
-        re-partitioned over the survivors.
+        Key blocks whose expansion was lost to a crash — unacknowledged
+        injects of, or unconsumed ring records addressed to, a dead
+        worker — and were re-partitioned over the survivors.
     recovered:
         True when at least one worker died and the sweep nevertheless
         ran to its normal end on the survivors.
@@ -206,28 +188,26 @@ class DistributedStats:
         sweep, not ``fork``+interpreter warm-up — the fixed cost that
         used to doom small-config speedup numbers.
     transport:
-        ``"queue"`` or ``"shm"`` for the ``"process"`` backend,
-        ``"local"`` otherwise.
+        ``"shm"`` for the ``"process"`` backend, ``"local"`` otherwise.
     relayed_batches:
-        shm transport: successor blocks that could not be written to a
-        ring (full, or the destination was dead) and fell back to a
-        coordinator relay. A persistently high share means the rings
-        are undersized for the model.
+        Successor blocks that could not be written to a ring (full, or
+        the destination was dead) and fell back to a coordinator relay.
+        A persistently high share means the rings are undersized for
+        the model.
     worker_succ_s / worker_expand_s:
         Summed worker-side seconds spent generating successors /
-        expanding whole batches (dedup + successor generation). Filled
+        expanding whole quanta (dedup + successor generation). Filled
         only on instrumented sweeps (the flight recorder active);
         0.0 otherwise — worker-side timing is off the hot path by
         default.
-    coord_put_s / coord_handle_s / coord_idle_s:
-        Coordinator-side seconds spent serialising batches onto worker
-        inboxes / handling completion messages / blocked in timed
-        outbox waits that expired. Instrumented sweeps only.
+    coord_handle_s / coord_idle_s:
+        Coordinator-side seconds spent handling control messages /
+        blocked in timed control-queue waits that expired.
+        Instrumented sweeps only.
     ring_put_s / ring_get_s:
-        shm transport, instrumented sweeps only: summed worker-side
-        seconds spent writing successor blocks into / gathering quanta
-        out of the shared-memory rings — the data-plane cost that
-        replaces the queue transport's pickling.
+        Instrumented sweeps only: summed worker-side seconds spent
+        writing successor blocks into / gathering quanta out of the
+        shared-memory rings — the data-plane cost.
     """
 
     states: int = 0
@@ -246,7 +226,6 @@ class DistributedStats:
     relayed_batches: int = 0
     worker_succ_s: float = 0.0
     worker_expand_s: float = 0.0
-    coord_put_s: float = 0.0
     coord_handle_s: float = 0.0
     coord_idle_s: float = 0.0
     ring_put_s: float = 0.0
@@ -272,99 +251,54 @@ def _owner(state: Hashable, n: int) -> int:
 
     ``state`` may equally be a packed codec key. Delegates to
     :func:`repro.lts.statehash.key_owner` — the single routing function
-    shared by the queue and shm transports, so ownership never depends
-    on which transport carried the key.
+    of the inline backend and the process coordinator, which the ring
+    workers inline — so ownership never depends on the code path that
+    routed the key.
     """
     return key_owner(state, n)
 
 
-class _AckLedger:
-    """Compact per-worker record of acknowledged batch keys.
+def _same(key):
+    """The identity key mapping of systems without a codec."""
+    return key
 
-    A worker adds every item of a batch to its visited set before
-    answering, so the union of its acknowledged batches *is* its
+
+class _AckLedger:
+    """Compact per-worker record of acknowledged keys.
+
+    A worker adds every key of a quantum to its visited set before
+    acknowledging it, so the union of its acknowledged keys *is* its
     visited set — the record that lets the coordinator drop re-routed
     keys a dead worker had already expanded (and counted). Holding that
     union as a Python set would duplicate every worker's visited set at
     the coordinator and defeat the memory-scaling point of hash
-    partitioning, so packed codec keys are instead appended to a
-    fixed-width byte buffer — roughly the key width per state — and
-    only materialised into a set on the (rare) crash path. The slot
-    width is seeded from the system codec's key byte-width when the
-    caller knows it (every real key used to trigger an O(buffer)
-    pure-Python ``_rewiden`` away from the old width-1 default on its
-    first arrival, mid-sweep); it still widens in place if an even
-    larger key arrives. Non-integer states (tuple shipping) have no
-    compact form and fall back to a set.
+    partitioning, so for codec keys the acknowledged blocks — already
+    in the :class:`~repro.lts.shmring.KeyFormat` wire format — are
+    appended to one byte buffer, roughly the key width per state, and
+    only materialised into a set on the (rare) crash path. States of a
+    system without a codec have no compact form: that format keeps a
+    set. The mode is fixed at construction by the sweep's key format.
     """
 
-    __slots__ = ("_width", "_buf", "_set")
+    __slots__ = ("_fmt", "_buf", "_set")
 
-    def __init__(self, width: int = 1):
-        if width < 1:
-            raise ValueError("width must be >= 1")
-        self._width = width
+    def __init__(self, fmt: KeyFormat):
+        self._fmt = fmt
         self._buf = bytearray()
-        self._set: set | None = None
+        self._set: set | None = None if fmt.packed else set()
 
-    def _rewiden(self, width: int) -> None:
-        old, buf = self._width, self._buf
-        out = bytearray(len(buf) // old * width)
-        for i in range(len(buf) // old):
-            out[i * width: i * width + old] = buf[i * old: (i + 1) * old]
-        self._width, self._buf = width, out
-
-    def _add_packed(self, keys) -> None:
-        width = self._width
-        for k in keys:
-            n = (k.bit_length() + 7) // 8 or 1
-            if n > width:
-                self._rewiden(n)
-                width = n
-            self._buf += k.to_bytes(width, "little")
-
-    def add(self, keys) -> None:
-        """Record the keys of one acknowledged batch."""
+    def add_bytes(self, blob: bytes) -> None:
+        """Record one acknowledged block (``fmt``'s wire format)."""
         if self._set is None:
-            try:
-                self._add_packed(keys)
-                return
-            except (AttributeError, OverflowError):
-                # not non-negative ints: keep whatever packed cleanly
-                # (to_set dedups the partially appended batch) and
-                # continue in set mode
-                self._set = self.to_set()
-                self._buf = bytearray()
-        self._set.update(keys)
-
-    def add_bytes(self, data: bytes, width: int) -> None:
-        """Record an already-packed block of ``width``-byte keys.
-
-        The shm transport's acks carry their newly expanded keys in
-        exactly the ledger's wire format (little-endian fixed width),
-        so a matching width is a straight buffer append — no per-key
-        Python ints at all on the steady-state path.
-        """
-        if self._set is not None:
-            self._set.update(unpack_keys(data, width))
-            return
-        if width != self._width:
-            if width > self._width:
-                self._rewiden(width)
-            else:
-                self._add_packed(unpack_keys(data, width))
-                return
-        self._buf += data
+            self._buf += blob
+        else:
+            self._set.update(self._fmt.unpack(blob))
 
     def to_set(self) -> set:
         """The acknowledged-key union as a set (the crash path)."""
         if self._set is not None:
             return set(self._set)
-        w, buf = self._width, self._buf
-        return {
-            int.from_bytes(buf[i: i + w], "little")
-            for i in range(0, len(buf), w)
-        }
+        return set(self._fmt.unpack(self._buf))
 
     @property
     def nbytes(self) -> int:
@@ -375,7 +309,8 @@ class _AckLedger:
 
     def clear(self) -> None:
         self._buf = bytearray()
-        self._set = None
+        if self._set is not None:
+            self._set = set()
 
 
 def _worker_obs(trace_dir, wid, clock_origin):
@@ -404,9 +339,9 @@ def _worker_obs(trace_dir, wid, clock_origin):
     return tracer, MemWatch(tracer=tracer)
 
 
-def _expand_batch(system, batch, visited, collect, decode=None, succ=None,
-                  timer=None):
-    """Owner-side work: dedup ``batch``, expand new states.
+def _expand_batch(system, batch, visited, collect, decode=None, timer=None):
+    """Owner-side work of the inline backend: dedup ``batch``, expand
+    new states.
 
     ``batch`` holds packed keys when ``decode`` is given, states
     otherwise. Returns ``(new_successor_states, n_transitions,
@@ -420,8 +355,7 @@ def _expand_batch(system, batch, visited, collect, decode=None, succ=None,
     n_trans = 0
     n_dead = 0
     collected = []
-    if succ is None:
-        succ = getattr(system, "successors_fast", None) or system.successors
+    succ = getattr(system, "successors_fast", None) or system.successors
     if timer is not None:
         raw = succ
         clock = time.perf_counter
@@ -463,126 +397,7 @@ def _partition(states, n_workers, encode=None):
     return buckets
 
 
-def _coalesce(queue, depth, bucket, batch_size) -> None:
-    """Append ``bucket`` to a pending ``deque``, merging into the tail.
-
-    Trickling successor buckets of the same depth are merged into the
-    tail entry (in place — the entry's item list is mutable) until it
-    reaches a full batch, so dispatches carry full batches instead of
-    bucket-sized fragments. The tail list is extended in place and the
-    deque appended at the ends only: both O(len(bucket)), where the old
-    list-based queue rebuilt the whole tail entry per merge
-    (``queue[-1][1] + bucket``) and went quadratic on wide frontiers.
-    ``bucket`` must be a list the caller cedes ownership of.
-    """
-    if queue:
-        tail = queue[-1]
-        if tail[0] == depth and len(tail[1]) < batch_size:
-            tail[1].extend(bucket)
-            return
-    queue.append((depth, bucket))
-
-
-def _take_chunk(queue, batch_size):
-    """Pop up to ``batch_size`` items off the head entry of a pending
-    ``deque``; returns ``(depth, chunk)``.
-
-    An oversized head entry is split from its *end* (``del
-    batch[-batch_size:]``), which is O(chunk) where the old
-    ``queue.pop(0)`` / front-slice pattern copied the whole remainder
-    per dispatch. Within one depth the frontier is an unordered set, so
-    taking from either end explores the same LTS.
-    """
-    depth, batch = queue[0]
-    if len(batch) > batch_size:
-        chunk = batch[-batch_size:]
-        del batch[-batch_size:]
-    else:
-        chunk = batch
-        queue.popleft()
-    return depth, chunk
-
-
-def _worker_main(
-    system, n_workers, wid, inbox, outbox, collect, packed,
-    fault: WorkerFault | None = None,
-    instrument: bool = False,
-    trace_dir=None,
-    clock_origin: float = 0.0,
-):
-    """Worker process loop: expand routed batches until told to stop.
-
-    Each ``("work", seq, depth, batch)`` message is answered with
-    exactly one ``("done", ..., seq, ...)`` message — the invariant
-    both the coordinator's outstanding-message termination count and
-    its in-flight ledger rest on. ``fault`` injects the misbehaviours
-    of :mod:`repro.lts.faults` for recovery testing. ``instrument``
-    additionally times each batch (total expansion and successor
-    generation seconds travel on the ``done`` message) for the flight
-    recorder's per-phase breakdown; off by default to keep the hot
-    path clock-free. With a ``trace_dir`` the worker also keeps its own
-    trace stream and memory watcher (see :func:`_worker_obs`), stamping
-    each batch's worker-side ``ack`` with the ``(worker, seq)``
-    correlation id the coordinator used on its ``dispatch``.
-    """
-    codec = system.codec() if packed else None
-    decode = codec.decode if codec else None
-    encode = codec.encode if codec else None
-    visited: set = set()
-    answered = 0
-    wtracer, wmem = _worker_obs(trace_dir, wid, clock_origin)
-    # the spawn barrier: the coordinator times worker start-up
-    # (stats.spawn_s) from process start to the last hello, and only
-    # then starts the sweep clock — see bench_explore's spawn split
-    outbox.put(("hello", wid))
-    while True:
-        msg = inbox.get()
-        if (
-            fault is not None
-            and fault.kill_after is not None
-            and answered >= fault.kill_after
-        ):
-            crash_process(outbox)
-        if msg is None:
-            if wtracer is not None:
-                wmem.close()
-                wtracer.close()
-            outbox.put(("bye", wid, len(visited)))
-            return
-        _tag, seq, depth, batch = msg
-        if fault is not None and fault.delay:
-            time.sleep(fault.delay)
-        succ = None
-        if fault is not None and fault.raise_at == answered:
-            succ = fault.raising_successors(wid)
-        timer = [0.0] if instrument else None
-        t_batch = time.perf_counter() if instrument else 0.0
-        new_states, n_trans, n_dead, collected = _expand_batch(
-            system, batch, visited, collect, decode, succ=succ, timer=timer
-        )
-        expand_s = time.perf_counter() - t_batch if instrument else 0.0
-        buckets = _partition(new_states, n_workers, encode)
-        if collect and encode is not None:
-            collected = [(src, lab, encode(d)) for src, lab, d in collected]
-        outbox.put(
-            ("done", wid, seq, depth, buckets, n_trans, n_dead,
-             len(visited), collected,
-             timer[0] if timer else 0.0, expand_s)
-        )
-        if wtracer is not None:
-            wtracer.emit(
-                "ack", worker=wid, seq=seq, depth=depth,
-                states=len(new_states), transitions=n_trans,
-                visited=len(visited),
-                succ_s=round(timer[0] if timer else 0.0, 6),
-                expand_s=round(expand_s, 6),
-            )
-            wmem.note("visited", sys.getsizeof(visited))
-            wmem.sample()
-        answered += 1
-
-
-def _inline_sweep(system, n_workers, collect, max_states, stats, packed,
+def _inline_sweep(system, n_workers, collect, max_states, stats, codec,
                   obs=None):
     """The partitioned algorithm run sequentially (test backend).
 
@@ -591,7 +406,6 @@ def _inline_sweep(system, n_workers, collect, max_states, stats, packed,
     ``levels`` statistic exact.
     """
     recording = obs is not None and obs.enabled
-    codec = system.codec() if packed else None
     decode = codec.decode if codec else None
     encode = codec.encode if codec else None
     visited: list[set] = [set() for _ in range(n_workers)]
@@ -647,402 +461,50 @@ def _inline_sweep(system, n_workers, collect, max_states, stats, packed,
     return transitions, init_item
 
 
-def _process_sweep(
-    system, n_workers, collect, max_states, stats, packed,
-    faults: FaultPlan | None = None,
-    poll: float = _POLL,
-    batch_size: int = _BATCH,
-    fault_tolerant: bool = True,
-    obs=None,
-    trace_dir=None,
-):
-    """The pipelined partitioned sweep with real worker processes.
-
-    The coordinator keeps per-owner pending queues and routes bounded
-    batches to any worker with spare window capacity; it never waits
-    for a level to finish. ``outstanding`` counts work batches on the
-    wire (incremented per dispatch, decremented per completion);
-    ``outstanding == 0`` with every pending queue empty is exact
-    quiescence, because workers only create work as part of answering
-    a batch the coordinator counted.
-
-    Fault tolerance (see the module docstring for the recovery
-    argument): the outbox wait polls with a timeout and re-checks
-    worker exit codes, dispatched batches live in ``ledger`` until
-    acknowledged, and a dead worker's lost batches are re-partitioned
-    over the survivors with already-expanded keys filtered out through
-    the acknowledged-key record (``acked``, a compact
-    :class:`_AckLedger` per worker). ``fault_tolerant=False`` drops the
-    record entirely — no per-state coordinator memory — at the price of
-    turning any worker death into an immediate
-    :class:`~repro.errors.WorkerFailureError` instead of a recovery.
-    """
-    recording = obs is not None and obs.enabled
-    tracer = obs.tracer if recording else None
-    clock_origin = obs.tracer.epoch if recording else 0.0
-    if not recording:
-        trace_dir = None
-    ctx = (
-        mp.get_context("fork")
-        if "fork" in mp.get_all_start_methods()
-        else mp.get_context()
-    )
-    inboxes = [ctx.SimpleQueue() for _ in range(n_workers)]
-    # a real Queue (not SimpleQueue): the coordinator needs a timed get
-    outbox = ctx.Queue()
-    workers = [
-        ctx.Process(
-            target=_worker_main,
-            args=(system, n_workers, w, inboxes[w], outbox, collect, packed,
-                  faults.for_worker(w) if faults is not None else None,
-                  recording, trace_dir, clock_origin),
-            daemon=True,
-        )
-        for w in range(n_workers)
-    ]
-    t_spawn0 = time.perf_counter()
-    for p in workers:
-        p.start()
-
-    codec = system.codec() if packed else None
-    init = system.initial_state()
-    init_item = init if codec is None else codec.encode(init)
-
-    live = list(range(n_workers))
-    dead: set[int] = set()
-    #: keys expanded by workers that later died (never re-dispatch
-    #: these); populated — and therefore O(states) — only after a crash
-    dead_visited: set = set()
-    #: per worker, the union of keys in batches it acknowledged — the
-    #: coordinator-side reconstruction of each worker's visited set,
-    #: kept compact (see :class:`_AckLedger`) or not at all
-    acked: list[_AckLedger] | None = (
-        [_AckLedger(width=codec.n_bytes if codec is not None else 1)
-         for _ in range(n_workers)]
-        if fault_tolerant else None
-    )
-    #: per worker, seq -> (depth, chunk) for every unacknowledged batch
-    ledger: list[dict[int, tuple[int, list]]] = [{} for _ in range(n_workers)]
-    pending: list[deque] = [deque() for _ in range(n_workers)]
-    pending[_owner(init_item, n_workers)].append((0, [init_item]))
-    inflight = [0] * n_workers
-    outstanding = 0
-    sizes = [0] * n_workers
-    n_batches = [0] * n_workers
-    transitions = []
-    n_trans = 0
-    n_dead = 0
-    max_depth = 0
-    total_batches = 0
-    next_seq = 0
-    limit_hit = False
-    t_sweep0 = time.perf_counter()
-    #: instrumented-only accumulators (see DistributedStats docstring)
-    worker_succ_s = 0.0
-    worker_expand_s = 0.0
-    coord_put_s = 0.0
-    coord_handle_s = 0.0
-    coord_idle_s = 0.0
-
-    def _push(w, depth, bucket):
-        _coalesce(pending[w], depth, bucket, batch_size)
-
-    def _route(orig_owner, depth, bucket):
-        # final routing decision: workers partition over the original
-        # worker count, so buckets aimed at a dead owner are
-        # re-partitioned here over the live list — rendezvous hashing,
-        # so the chosen survivor for a key does not change when the
-        # membership shrinks again — dropping keys the dead owner had
-        # already expanded (they were counted once)
-        if orig_owner not in dead:
-            _push(orig_owner, depth, bucket)
-            return
-        regrouped: dict[int, list] = {}
-        for k in bucket:
-            if k in dead_visited:
-                continue
-            regrouped.setdefault(live_owner(k, live), []).append(k)
-        for w, items in regrouped.items():
-            _push(w, depth, items)
-
-    def _fill_stats():
-        stats.states = sum(sizes)
-        stats.transitions = n_trans
-        stats.deadlocks = n_dead
-        stats.per_worker_states = sizes
-        stats.per_worker_batches = n_batches
-        stats.levels = max_depth + 1
-        stats.batches = total_batches
-        stats.worker_succ_s = round(worker_succ_s, 6)
-        stats.worker_expand_s = round(worker_expand_s, 6)
-        stats.coord_put_s = round(coord_put_s, 6)
-        stats.coord_handle_s = round(coord_handle_s, 6)
-        stats.coord_idle_s = round(coord_idle_s, 6)
-
-    def _reap(w):
-        nonlocal outstanding
-        live.remove(w)
-        dead.add(w)
-        stats.worker_deaths += 1
-        if tracer is not None:
-            tracer.emit(
-                "worker_death", worker=w, inflight=len(ledger[w]),
-                pending=len(pending[w]), alive=len(live),
-                visited=sizes[w],
-            )
-        if acked is None:
-            # no acknowledged-key record was kept, so a recovery could
-            # not be exact; fail fast (still within the poll bound)
-            _fill_stats()
-            raise WorkerFailureError(
-                f"worker {w} died and fault_tolerant=False disabled the "
-                f"recovery ledger; partial results are on .stats",
-                stats=stats,
-            )
-        # a worker adds every item of a batch to its visited set before
-        # answering, so the acknowledged-key union *is* its visited set
-        # (sizes[w] already holds its last reported count, which equals
-        # that union's size — _check_liveness drained the outbox first)
-        dead_visited.update(acked[w].to_set())
-        acked[w].clear()
-        lost = list(ledger[w].values())
-        outstanding -= len(ledger[w])
-        ledger[w].clear()
-        inflight[w] = 0
-        lost.extend(pending[w])
-        pending[w] = deque()
-        if not live:
-            _fill_stats()
-            raise WorkerFailureError(
-                f"all {n_workers} workers died before the sweep finished",
-                stats=stats,
-            )
-        stats.redispatched_batches += len(lost)
-        if tracer is not None:
-            tracer.emit("redispatch", worker=w, batches=len(lost))
-        for depth, chunk in lost:
-            _route(w, depth, chunk)
-
-    def _handle(msg):
-        nonlocal outstanding, n_trans, n_dead, max_depth, limit_hit
-        nonlocal worker_succ_s, worker_expand_s, coord_handle_s
-        if msg[0] != "done":
-            return
-        t_handle = time.perf_counter() if recording else 0.0
-        _tag, wid, seq, depth, buckets, t, d, n_visited, coll, s_s, e_s = msg
-        entry = ledger[wid].pop(seq, None)
-        if entry is None:
-            return  # late answer from a worker already reaped
-        if acked is not None:
-            acked[wid].add(entry[1])
-        inflight[wid] -= 1
-        outstanding -= 1
-        n_batches[wid] += 1
-        sizes[wid] = n_visited
-        n_trans += t
-        n_dead += d
-        transitions.extend(coll)
-        if depth > max_depth:
-            max_depth = depth
-        for w, bucket in enumerate(buckets):
-            if bucket:
-                _route(w, depth + 1, bucket)
-        if max_states is not None and sum(sizes) > max_states:
-            limit_hit = True
-        if recording:
-            worker_succ_s += s_s
-            worker_expand_s += e_s
-            tracer.emit(
-                "ack", worker=wid, seq=seq, depth=depth, transitions=t,
-                visited=n_visited, succ_s=round(s_s, 6),
-                expand_s=round(e_s, 6),
-            )
-            coord_handle_s += time.perf_counter() - t_handle
-
-    def _check_liveness():
-        crashed = [w for w in live if workers[w].exitcode is not None]
-        if not crashed:
-            return
-        # a worker's sends complete before it can show an exit code,
-        # so drain the already-delivered answers first: they finish
-        # the acknowledged-key record the re-dispatch relies on
-        while True:
-            try:
-                _handle(outbox.get_nowait())
-            except Empty:
-                break
-        for w in crashed:
-            if w in live:
-                _reap(w)
-
-    def _sample():
-        tracer.emit(
-            "coord_sample", outstanding=outstanding,
-            pending=[len(q) for q in pending], inflight=list(inflight),
-            states=sum(sizes), alive=len(live),
-        )
-        if acked is not None:
-            obs.memwatch.note(
-                "ack_ledger", sum(a.nbytes for a in acked)
-            )
-        obs.memwatch.sample()
-        elapsed = time.perf_counter() - t_sweep0
-        total = sum(sizes)
-        obs.progress.maybe(
-            states=total,
-            sps=total / elapsed if elapsed > 0 else 0.0,
-            outstanding=outstanding,
-            workers=f"{len(live)}/{n_workers}",
-        )
-
-    since_check = 0
-    try:
-        # spawn barrier: every worker says hello before any dispatch,
-        # so ``stats.spawn_s`` isolates fork + interpreter warm-up from
-        # the sweep proper (bench reports the two separately)
-        awaiting_hello = set(live)
-        hello_deadline = time.monotonic() + _SPAWN_DEADLINE
-        while awaiting_hello:
-            try:
-                msg = outbox.get(timeout=poll)
-            except Empty:
-                for w in [w for w in live
-                          if workers[w].exitcode is not None]:
-                    awaiting_hello.discard(w)
-                    _reap(w)
-                if time.monotonic() > hello_deadline:  # pragma: no cover
-                    _fill_stats()
-                    raise WorkerFailureError(
-                        f"workers {sorted(awaiting_hello)} never said "
-                        f"hello within {_SPAWN_DEADLINE}s",
-                        stats=stats,
-                    )
-                continue
-            if msg[0] == "hello":
-                awaiting_hello.discard(msg[1])
-        stats.spawn_s = round(time.perf_counter() - t_spawn0, 6)
-        while not limit_hit:
-            for w in live:
-                queue = pending[w]
-                while queue and inflight[w] < _WINDOW:
-                    depth, chunk = _take_chunk(queue, batch_size)
-                    ledger[w][next_seq] = (depth, chunk)
-                    if recording:
-                        t_put = time.perf_counter()
-                        inboxes[w].put(("work", next_seq, depth, chunk))
-                        coord_put_s += time.perf_counter() - t_put
-                        tracer.emit("dispatch", worker=w, seq=next_seq,
-                                    depth=depth, n=len(chunk))
-                        obs.metrics.counter(
-                            "repro_dist_batches_total", worker=w
-                        ).inc()
-                    else:
-                        inboxes[w].put(("work", next_seq, depth, chunk))
-                    next_seq += 1
-                    inflight[w] += 1
-                    outstanding += 1
-                    total_batches += 1
-            if outstanding == 0:
-                break  # nothing in flight, nothing pending: quiescent
-            try:
-                if recording:
-                    t_get = time.perf_counter()
-                    try:
-                        msg = outbox.get(timeout=poll)
-                    except Empty:
-                        coord_idle_s += time.perf_counter() - t_get
-                        raise
-                else:
-                    msg = outbox.get(timeout=poll)
-            except Empty:
-                if recording:
-                    _sample()
-                _check_liveness()
-                continue
-            _handle(msg)
-            since_check += 1
-            if since_check >= _CRASH_CHECK_EVERY:
-                since_check = 0
-                if recording:
-                    _sample()
-                _check_liveness()
-    finally:
-        for w in live:
-            try:
-                inboxes[w].put(None)
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-        awaiting = set(live)
-        deadline = time.monotonic() + 10.0
-        while awaiting and time.monotonic() < deadline:
-            try:
-                msg = outbox.get(timeout=0.25)
-            except Empty:
-                for w in list(awaiting):
-                    if workers[w].exitcode is not None:
-                        awaiting.discard(w)  # died during shutdown
-                continue
-            if msg[0] == "bye":
-                sizes[msg[1]] = msg[2]
-                awaiting.discard(msg[1])
-            # residual "done" answers of an aborted sweep are dropped
-        for p in workers:
-            p.join(timeout=5)
-            if p.is_alive():  # pragma: no cover
-                p.terminate()
-                p.join(timeout=5)
-    _fill_stats()
-    stats.recovered = stats.worker_deaths > 0
-    if limit_hit or (max_states is not None and stats.states > max_states):
-        raise ExplorationLimitError(
-            f"state limit {max_states} exceeded", stats=stats
-        )
-    return transitions, init_item
-
-
 def _shm_worker_main(
     system, n_workers, wid, ctrl_in, ctrl_out, rings_in, rings_out,
-    collect, key_width, batch_size,
+    collect, codec, fmt: KeyFormat, batch_size,
     fault: WorkerFault | None = None,
     instrument: bool = False,
-    fault_tolerant: bool = True,
     trace_dir=None,
     clock_origin: float = 0.0,
 ):
-    """Worker loop of the shared-memory transport.
+    """Worker loop of the process backend.
 
-    The data plane is the ring matrix: ``rings_in[p]`` carries packed
-    keys from producer ``p`` to this worker, ``rings_out[q]`` from this
-    worker to owner ``q`` (including the self-ring ``wid -> wid``, so
-    *every* expansion input is recoverable from shared memory after a
-    crash). The control plane is a queue pair with the coordinator:
-    inbound ``("inject", seq, depth, payload)`` blocks (seeding, relays
-    and crash re-dispatches), ``("dead", w)`` membership updates and
-    ``None`` (stop); outbound ``("hello", wid)``, ``("relay", wid, dst,
-    depth, payload)`` for blocks a ring would not take, ``("dead_ack",
-    wid, w)``, one ``("ack", ...)`` per expansion quantum and a final
-    ``("bye", wid, n_visited)``.
+    The data plane is the ring matrix: ``rings_in[p]`` carries key
+    blocks (in the sweep's ``fmt``) from producer ``p`` to this worker,
+    ``rings_out[q]`` from this worker to owner ``q`` (including the
+    self-ring ``wid -> wid``, so *every* expansion input is recoverable
+    from shared memory after a crash). A key is the packed ``codec``
+    integer of a state, or the state itself when ``codec`` is ``None``;
+    this one loop serves both. The control plane is a queue pair with
+    the coordinator: inbound ``("inject", seq, depth, payload)`` blocks
+    (seeding, relays and crash re-dispatches), ``("dead", w)``
+    membership updates and ``None`` (stop); outbound ``("hello",
+    wid)``, ``("relay", wid, dst, depth, payload)`` for blocks a ring
+    would not take, ``("dead_ack", wid, w)``, one ``("ack", ...)`` per
+    expansion quantum and a final ``("bye", wid, n_visited)``.
 
-    Exactness contract (mirrors the queue transport's
-    batch-acknowledgement invariant): a quantum's states and
-    transitions are counted *iff* its ack reaches the coordinator, and
-    the ring read counters advance only *after* the ack has been handed
-    to the control queue — so everything an unacked quantum consumed is
-    still physically in this worker's inbound rings (or in the
-    coordinator's inject ledger) when the worker dies, and
-    already-acked keys travel on the ack itself into the coordinator's
-    :class:`_AckLedger` for duplicate suppression.
+    Exactness contract: a quantum's states and transitions are counted
+    *iff* its ack reaches the coordinator, and the ring read counters
+    advance only *after* the ack has been handed to the control queue —
+    so everything an unacked quantum consumed is still physically in
+    this worker's inbound rings (or in the coordinator's inject ledger)
+    when the worker dies, and already-acked keys travel on the ack
+    itself into the coordinator's :class:`_AckLedger` for duplicate
+    suppression.
 
     Quantum sizing is adaptive (:class:`~repro.lts.shmring.AdaptiveBatch`):
     each quantum's measured expansion rate retargets the next gather to
-    ``_QUANTUM_TARGET_S`` of work, replacing the queue transport's
-    fixed batch size that forced thousands of tiny round trips on fast
-    models.
+    ``_QUANTUM_TARGET_S`` of work — a fixed batch size forces thousands
+    of tiny round trips on fast models.
     """
     gc.disable()  # allocation-heavy sweep loop; the process is short-lived
-    codec = system.codec()
-    decode = codec.decode
-    encode = codec.encode
+    pack, unpack = fmt.pack, fmt.unpack
+    if codec is None:
+        decode = encode = _same
+    else:
+        decode, encode = codec.decode, codec.encode
     succ_fn = getattr(system, "successors_fast", None) or system.successors
     visited: set = set()
     # -- worker-local shipping caches (speed only, never correctness) --
@@ -1059,7 +521,7 @@ def _shm_worker_main(
     # guaranteed duplicate at the same consumer — skip the transport
     # entirely. Safe under crashes: recovery only ever relies on the
     # first copy (ring drain + acked-key filtering), never on repeats.
-    shipped: set[int] = set()
+    shipped: set = set()
     # stash: self-owned key -> already-decoded state, filled at ship
     # time and popped at consume time, skipping the decode for every
     # state this worker both generated and owns.
@@ -1120,19 +582,21 @@ def _shm_worker_main(
                 if rec is None:
                     continue
                 depth, payload, nxt = rec
-                quantum.append((depth, unpack_keys(payload, key_width)))
+                keys = unpack(payload)
+                quantum.append((depth, keys))
                 consumed[p] += 1
                 consumed_b[p] += nxt - cursors[p]
                 cursors[p] = nxt
-                n_keys += len(payload) // key_width
+                n_keys += len(keys)
                 progressed = True
                 if n_keys >= target:
                     break
         while injects and n_keys < target:
             seq, depth, payload = injects.popleft()
-            quantum.append((depth, unpack_keys(payload, key_width)))
+            keys = unpack(payload)
+            quantum.append((depth, keys))
             inject_seqs.append(seq)
-            n_keys += len(payload) // key_width
+            n_keys += len(keys)
         get_s = clock() - t_get if instrument else 0.0
 
         if not quantum:
@@ -1153,7 +617,7 @@ def _shm_worker_main(
                 seconds=round(get_s, 6),
             )
 
-        # -- fault injection (mirrors the queue worker's semantics) --
+        # -- fault injection (see repro.lts.faults) -----------------
         if fault is not None:
             if (
                 fault.kill_after is not None
@@ -1171,8 +635,8 @@ def _shm_worker_main(
         # (mandatory — their records are acked as consumed), then
         # *chased* self-owned successors. Chasing is the transport's
         # biggest saving: a successor this worker owns is expanded in
-        # the same quantum with its already-built state tuple in hand
-        # — no byte packing, no self-ring round trip, no decode — and
+        # the same quantum with its already-built state in hand
+        # — no packing, no self-ring round trip, no decode — and
         # still rides the quantum's ack (counted iff acked; its
         # successors are flushed before the ack like any other).
         # Chasing stops at twice the quantum target so flushes keep
@@ -1184,14 +648,15 @@ def _shm_worker_main(
         # per-state budget.
         t0 = clock()
         succ_s = 0.0
-        new_keys: list[int] = []
+        new_keys: list = []
         new_keys_append = new_keys.append
         collected = []
         n_trans = 0
         n_dead = 0
         max_d = 0
-        # per destination, per successor depth, a flat key block
-        out: list[dict[int, bytearray]] = [{} for _ in range(n_workers)]
+        # per destination, per successor depth, the keys to ship
+        # (packed into blocks at flush time)
+        out: list[dict[int, list]] = [{} for _ in range(n_workers)]
         memo_get = ship_memo.get
         chase: deque = deque()
         chase_append = chase.append
@@ -1234,7 +699,7 @@ def _shm_worker_main(
                             # splitmix64 finaliser written out to skip
                             # a function call per first-seen successor;
                             # asserted equal in tests so routing stays
-                            # transport- and path-independent
+                            # path-independent
                             h = hash(nk) & _M64
                             h = ((h ^ (h >> 30))
                                  * 0xBF58476D1CE4E5B9) & _M64
@@ -1253,10 +718,10 @@ def _shm_worker_main(
                         chase_append((d1, nk, nxt))  # expand locally
                         continue
                     ob = out[q]
-                    buf = ob.get(d1)
-                    if buf is None:
-                        buf = ob[d1] = bytearray()
-                    buf += nk.to_bytes(key_width, "little")
+                    blk = ob.get(d1)
+                    if blk is None:
+                        blk = ob[d1] = []
+                    blk.append(nk)
         n_before_chase = len(new_keys)
         while chase and n_keys < chase_cap:
             depth, k, state = chase_pop()
@@ -1302,20 +767,20 @@ def _shm_worker_main(
                     chase_append((d1, nk, nxt))
                     continue
                 ob = out[q]
-                buf = ob.get(d1)
-                if buf is None:
-                    buf = ob[d1] = bytearray()
-                buf += nk.to_bytes(key_width, "little")
+                blk = ob.get(d1)
+                if blk is None:
+                    blk = ob[d1] = []
+                blk.append(nk)
         # chase leftovers beyond the cap: spill to the self-ring
         ob = out[wid]
         for d1, nk, nxt in chase:
             if nk in visited:
                 continue
             stash[nk] = nxt
-            buf = ob.get(d1)
-            if buf is None:
-                buf = ob[d1] = bytearray()
-            buf += nk.to_bytes(key_width, "little")
+            blk = ob.get(d1)
+            if blk is None:
+                blk = ob[d1] = []
+            blk.append(nk)
         expand_s = clock() - t0
         if len(ship_memo) > _SHIP_CACHE_MAX:
             ship_memo.clear()
@@ -1329,7 +794,7 @@ def _shm_worker_main(
 
         # -- flush successor blocks straight to their owners ---------
         t1 = clock() if instrument else 0.0
-        max_block = max(target, _QUANTUM_LO) * key_width
+        max_keys = max(target, _QUANTUM_LO)
         n_blocks = 0
         n_bytes_out = 0
         for q in range(n_workers):
@@ -1337,9 +802,9 @@ def _shm_worker_main(
             if not per_depth:
                 continue
             ring = None if q in dead else rings_out[q]
-            for d1, buf in per_depth.items():
-                for i in range(0, len(buf), max_block):
-                    block = bytes(buf[i: i + max_block])
+            for d1, keys in per_depth.items():
+                for i in range(0, len(keys), max_keys):
+                    block = pack(keys[i: i + max_keys])
                     n_blocks += 1
                     n_bytes_out += len(block)
                     if ring is None or not ring.try_write(d1, block):
@@ -1358,9 +823,8 @@ def _shm_worker_main(
             for p in range(n_workers)
             if consumed[p]
         ]
-        keys_blob = pack_keys(new_keys, key_width) if fault_tolerant else b""
         ctrl_out.put((
-            "ack", wid, consumed_list, inject_seqs, keys_blob,
+            "ack", wid, consumed_list, inject_seqs, pack(new_keys),
             n_trans, n_dead, len(visited), collected, max_d,
             round(succ_s, 6), round(expand_s, 6),
             round(put_s, 6), round(get_s, 6), answered,
@@ -1383,16 +847,16 @@ def _shm_worker_main(
 
 
 def _shm_sweep(
-    system, n_workers, collect, max_states, stats,
+    system, n_workers, collect, max_states, stats, codec,
     faults: FaultPlan | None = None,
     poll: float = _POLL,
     batch_size: int = _BATCH,
-    fault_tolerant: bool = True,
     ring_bytes: int = DEFAULT_RING_BYTES,
     obs=None,
     trace_dir=None,
 ):
-    """The pipelined sweep over the shared-memory ring transport.
+    """The pipelined sweep of the process backend, over the
+    shared-memory rings.
 
     Data flows owner-to-owner through the ``n_workers``-squared ring
     matrix (see :mod:`repro.lts.shmring`); the coordinator handles only
@@ -1400,8 +864,7 @@ def _shm_sweep(
     the recovery ledger, relays for blocks a ring would not take,
     membership changes, and termination detection.
 
-    Termination is a shared-memory balance check instead of the queue
-    transport's outstanding-message count: the sweep is quiescent
+    Termination is a shared-memory balance check: the sweep is quiescent
     exactly when (a) no crash recovery is mid-flight, (b) every
     injected block has been acked, (c) every ring's write counters
     equal its read counters, (d) per live worker the records its rings
@@ -1413,9 +876,9 @@ def _shm_sweep(
     before acking), unconsumed blocks hold (c), and un-acked injects
     hold (b).
 
-    Crash recovery reuses the queue transport's invariants (counted iff
-    acked; rendezvous re-partitioning; the packed acked-key ledger) on
-    ring state: a dead worker's unconsumed ring input is physically
+    Crash recovery rests on three invariants — counted iff acked,
+    rendezvous re-partitioning, the acked-key ledger — applied to ring
+    state: a dead worker's unconsumed ring input is physically
     still there, so after a two-phase membership broadcast (every live
     peer must ack ``("dead", w)`` before the coordinator reads rings it
     might still be writing) the coordinator drains those rings, filters
@@ -1428,11 +891,11 @@ def _shm_sweep(
     if not recording:
         trace_dir = None
     ctx = mp.get_context("fork")
-    codec = system.codec()
-    key_width = codec.n_bytes
-    init_item = codec.encode(system.initial_state())
+    fmt = KeyFormat(None if codec is None else codec.n_bytes)
+    init = system.initial_state()
+    init_item = init if codec is None else codec.encode(init)
 
-    #: rings[p][q] carries packed keys from producer p to consumer q
+    #: rings[p][q] carries key blocks from producer p to consumer q
     rings = [
         [RingBuffer.create(ring_bytes) for _q in range(n_workers)]
         for _p in range(n_workers)
@@ -1452,9 +915,9 @@ def _shm_sweep(
             args=(system, n_workers, w, ctrl_ins[w], ctrl_out,
                   [rings[p][w] for p in range(n_workers)],
                   [rings[w][q] for q in range(n_workers)],
-                  collect, key_width, batch_size,
+                  collect, codec, fmt, batch_size,
                   faults.for_worker(w) if faults is not None else None,
-                  recording, fault_tolerant, trace_dir, clock_origin),
+                  recording, trace_dir, clock_origin),
             daemon=True,
         )
         for w in range(n_workers)
@@ -1466,10 +929,7 @@ def _shm_sweep(
     live = list(range(n_workers))
     dead: set[int] = set()
     dead_visited: set = set()
-    acked: list[_AckLedger] | None = (
-        [_AckLedger(width=key_width) for _ in range(n_workers)]
-        if fault_tolerant else None
-    )
+    acked = [_AckLedger(fmt) for _ in range(n_workers)]
     #: per worker, seq -> (depth, payload) for every unacked inject
     inject_ledger: list[dict[int, tuple[int, bytes]]] = [
         {} for _ in range(n_workers)
@@ -1528,13 +988,13 @@ def _shm_sweep(
         if dst not in dead:
             _inject(dst, depth, payload)
             return
-        regrouped: dict[int, list[int]] = {}
-        for k in unpack_keys(payload, key_width):
+        regrouped: dict[int, list] = {}
+        for k in fmt.unpack(payload):
             if k in dead_visited:
                 continue
             regrouped.setdefault(live_owner(k, live), []).append(k)
         for w, keys in regrouped.items():
-            _inject(w, depth, pack_keys(keys, key_width))
+            _inject(w, depth, fmt.pack(keys))
 
     def _finalize_reap(w):
         # every live peer confirmed it will no longer write to w's
@@ -1558,13 +1018,6 @@ def _shm_sweep(
             tracer.emit(
                 "worker_death", worker=w, inflight=len(inject_ledger[w]),
                 pending=0, alive=len(live), visited=sizes[w],
-            )
-        if acked is None:
-            _fill_stats()
-            raise WorkerFailureError(
-                f"worker {w} died and fault_tolerant=False disabled the "
-                f"recovery ledger; partial results are on .stats",
-                stats=stats,
             )
         dead_visited.update(acked[w].to_set())
         acked[w].clear()
@@ -1605,8 +1058,7 @@ def _shm_sweep(
                 acked_recs[wid] += recs
             for seq in inject_seqs:
                 inject_ledger[wid].pop(seq, None)
-            if acked is not None and keys_blob:
-                acked[wid].add_bytes(keys_blob, key_width)
+            acked[wid].add_bytes(keys_blob)
             n_batches[wid] += 1
             total_quanta += 1
             sizes[wid] = n_visited
@@ -1688,10 +1140,7 @@ def _shm_sweep(
             "coord_sample", states=sum(sizes), alive=len(live),
             inject_pending=[len(led) for led in inject_ledger],
         )
-        if acked is not None:
-            obs.memwatch.note(
-                "ack_ledger", sum(a.nbytes for a in acked)
-            )
+        obs.memwatch.note("ack_ledger", sum(a.nbytes for a in acked))
         obs.memwatch.sample()
         elapsed = time.perf_counter() - t_sweep0
         total = sum(sizes)
@@ -1703,7 +1152,9 @@ def _shm_sweep(
 
     since_check = 0
     try:
-        # spawn barrier (see _process_sweep): isolates start-up cost
+        # spawn barrier: every worker says hello before the seed goes
+        # out, so ``stats.spawn_s`` isolates fork + interpreter warm-up
+        # from the sweep proper (bench reports the two separately)
         awaiting_hello = set(live)
         hello_deadline = time.monotonic() + _SPAWN_DEADLINE
         while awaiting_hello:
@@ -1729,10 +1180,7 @@ def _shm_sweep(
         stats.spawn_s = round(time.perf_counter() - t_spawn0, 6)
         # seed: the initial state is the one coordinator-routed data
         # block of a crash-free sweep
-        _route_block(
-            _owner(init_item, n_workers), 0,
-            pack_keys([init_item], key_width),
-        )
+        _route_block(_owner(init_item, n_workers), 0, fmt.pack([init_item]))
         while not limit_hit:
             if _quiescent():
                 break
@@ -1803,11 +1251,9 @@ def distributed_explore(
     backend: str = "process",
     collect: bool = False,
     max_states: int | None = None,
-    packed: bool | None = None,
     faults: FaultPlan | None = None,
     poll_interval: float = _POLL,
     batch_size: int | None = None,
-    fault_tolerant: bool = True,
     transport: str | None = None,
     ring_bytes: int = DEFAULT_RING_BYTES,
     certificate=None,
@@ -1819,13 +1265,17 @@ def distributed_explore(
     Parameters
     ----------
     system:
-        Must be picklable for the ``"process"`` backend (all models in
-        this package are).
+        Any :class:`~repro.lts.explore.TransitionSystem`. A system with
+        a ``codec()`` has its states shipped and stored as packed codec
+        keys; any other system has its states shipped as pickles and
+        deduplicated by equality.
     n_workers:
         Number of partitions (cluster nodes in the paper's setting).
     backend:
-        ``"process"`` for pipelined worker processes, ``"inline"`` for
-        the deterministic bulk-synchronous in-process rendition.
+        ``"process"`` for pipelined worker processes over the
+        shared-memory rings (needs the ``fork`` start method),
+        ``"inline"`` for the deterministic bulk-synchronous in-process
+        rendition.
     collect:
         When true, transitions are shipped back and an explicit
         :class:`LTS` is assembled (only sensible for small systems); the
@@ -1834,10 +1284,6 @@ def distributed_explore(
         Abort when the visited total exceeds this bound. The raised
         :class:`~repro.errors.ExplorationLimitError` carries the
         partially filled stats on its ``stats`` attribute.
-    packed:
-        Ship/store packed codec keys instead of state tuples. ``None``
-        (default) auto-enables when the system provides a ``codec()``;
-        ``True`` requires one; ``False`` forces tuple shipping.
     faults:
         Optional :class:`~repro.lts.faults.FaultPlan` injected into the
         workers (``"process"`` backend only) — the test harness for the
@@ -1846,47 +1292,31 @@ def distributed_explore(
         Upper bound, in seconds, on how long the coordinator blocks
         before re-checking worker liveness (``"process"`` backend).
     batch_size:
-        States per work batch (``"process"`` backend; default 256).
-        Tests shrink it to force many batches on small systems.
+        Initial expansion quantum in states (``"process"`` backend;
+        default 256); the adaptive controller resizes later quanta.
     transport:
-        ``"process"`` backend: how states travel between workers.
-        ``"shm"`` is the shared-memory ring data plane — workers
-        forward packed keys directly to their owners and the
-        coordinator only carries control traffic — and needs a system
-        with a ``codec()`` (packed keys) plus the ``fork`` start
-        method. ``"queue"`` is the original coordinator-routed pickled
-        transport. ``None``/``"auto"`` (default) picks ``"shm"``
-        whenever its requirements hold, ``"queue"`` otherwise. Both
-        transports share routing (:func:`~repro.lts.statehash.key_owner`),
-        recovery semantics and the fault-injection harness.
+        Accepted for compatibility and selects nothing: ``None``,
+        ``"auto"`` and ``"shm"`` all mean the shared-memory rings, the
+        only data plane. ``"queue"`` (the removed pickled-queue
+        transport) raises :class:`ValueError`.
     ring_bytes:
         Data capacity of each shm ring (one per ordered worker pair;
         default 1 MiB). Blocks that do not fit fall back to
         coordinator relays (``stats.relayed_batches``), so undersizing
         costs throughput, never correctness.
-    fault_tolerant:
-        ``"process"`` backend: keep the acknowledged-key ledger that
-        makes crash recovery exact. The ledger is compact — roughly one
-        packed-key width per state at the coordinator, not a duplicate
-        of the workers' visited sets — but it is still per-state
-        memory; pass ``False`` for sweeps so large that the coordinator
-        must hold none, accepting that any worker death then raises
-        :class:`~repro.errors.WorkerFailureError` (with partial stats
-        attached) instead of recovering. Crash *detection* stays on
-        either way: the coordinator never hangs on a dead worker.
     certificate:
         Optional :class:`~repro.staticcheck.certificates.ReductionCertificate`.
         When given, workers sweep a certificate-validated
         :class:`~repro.lts.certreduce.ReducedSystem` view (validated
-        once at the coordinator; workers receive the wrapper
-        pre-validated through pickling) and the sweep refuses with
+        once at the coordinator; workers inherit the wrapper
+        pre-validated) and the sweep refuses with
         :class:`~repro.errors.ReproError` if the certificate does not
         validate for this system (JKL303–JKL305).
     obs:
         Optional :class:`~repro.obs.core.Instrumentation`; defaults to
         the ambient bundle. When enabled, the sweep emits lifecycle
-        events (dispatch/ack, worker deaths, re-dispatches, coordinator
-        samples), workers time their batches for the per-phase
+        events (acks, worker deaths, re-dispatches, coordinator
+        samples), workers time their quanta for the per-phase
         breakdown, and recovery counters land in the metrics registry.
     trace_dir:
         Directory for per-worker trace streams (``"process"`` backend,
@@ -1909,9 +1339,8 @@ def distributed_explore(
     Raises
     ------
     WorkerFailureError:
-        All workers died — or any worker died while
-        ``fault_tolerant=False``; detection (and therefore the raise)
-        happens within ``poll_interval`` of the death, never a hang.
+        All workers died; detection (and therefore the raise) happens
+        within ``poll_interval`` of the last death, never a hang.
     """
     if certificate is not None:
         from repro.lts.certreduce import ReducedSystem
@@ -1921,32 +1350,29 @@ def distributed_explore(
         raise ValueError("n_workers must be >= 1")
     if backend not in ("process", "inline"):
         raise ValueError(f"unknown backend {backend!r}")
+    if transport == "queue":
+        raise ValueError(
+            "the pickled-queue transport was removed: every system now "
+            "runs over the shared-memory rings (transport='shm')"
+        )
+    if transport not in (None, "auto", "shm"):
+        raise ValueError(f"unknown transport {transport!r}")
+    if backend == "process" and "fork" not in mp.get_all_start_methods():
+        raise ValueError(
+            "backend='process' needs the 'fork' start method (workers "
+            "inherit the shared-memory rings and the parent's hash "
+            "seed); use backend='inline' on this platform"
+        )
     if faults is not None and backend != "process":
         raise ValueError("fault injection requires the 'process' backend")
     if poll_interval <= 0:
         raise ValueError("poll_interval must be positive")
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if packed is None:
-        packed = getattr(system, "codec", None) is not None
-    elif packed and getattr(system, "codec", None) is None:
-        raise ValueError("packed=True needs a system with a codec()")
-    fork_ok = "fork" in mp.get_all_start_methods()
-    if transport in (None, "auto"):
-        transport = "shm" if (packed and fork_ok) else "queue"
-    elif transport == "shm":
-        if not packed:
-            raise ValueError(
-                "transport='shm' ships packed codec keys and needs a "
-                "system with a codec() (and packed not disabled)"
-            )
-        if not fork_ok:  # pragma: no cover - all POSIX dev targets fork
-            raise ValueError(
-                "transport='shm' needs the 'fork' start method (workers "
-                "inherit the shared-memory rings)"
-            )
-    elif transport != "queue":
-        raise ValueError(f"unknown transport {transport!r}")
+    codec = (
+        system.codec() if getattr(system, "codec", None) is not None
+        else None
+    )
     if obs is None:
         obs = _current_obs()
     recording = obs.enabled
@@ -1957,10 +1383,9 @@ def distributed_explore(
     if recording:
         obs.tracer.emit(
             "sweep_start", backend=f"distributed-{backend}",
-            n_workers=n_workers, packed=packed,
-            transport=transport if backend == "process" else "local",
-            batch_size=batch_size or _BATCH,
-            fault_tolerant=fault_tolerant, max_states=max_states,
+            n_workers=n_workers, packed=codec is not None,
+            transport="shm" if backend == "process" else "local",
+            batch_size=batch_size or _BATCH, max_states=max_states,
         )
         if faults is not None:
             for wid, n in sorted(faults.kill.items()):
@@ -1987,7 +1412,6 @@ def distributed_explore(
             recovered=stats.recovered,
             worker_succ_s=stats.worker_succ_s,
             worker_expand_s=stats.worker_expand_s,
-            coord_put_s=stats.coord_put_s,
             coord_handle_s=stats.coord_handle_s,
             coord_idle_s=stats.coord_idle_s,
             ring_put_s=stats.ring_put_s,
@@ -2015,30 +1439,20 @@ def distributed_explore(
             m.gauge("repro_dist_worker_states", worker=w).set(n_states)
 
     stats = DistributedStats()
-    if backend == "process":
-        stats.transport = transport
     t0 = time.perf_counter()
     try:
         if backend == "inline":
             transitions, init_item = _inline_sweep(
-                system, n_workers, collect, max_states, stats, packed,
+                system, n_workers, collect, max_states, stats, codec,
                 obs=obs,
             )
-        elif transport == "shm":
-            transitions, init_item = _shm_sweep(
-                system, n_workers, collect, max_states, stats,
-                faults=faults, poll=poll_interval,
-                batch_size=batch_size or _BATCH,
-                fault_tolerant=fault_tolerant,
-                ring_bytes=ring_bytes,
-                obs=obs, trace_dir=trace_dir,
-            )
         else:
-            transitions, init_item = _process_sweep(
-                system, n_workers, collect, max_states, stats, packed,
+            stats.transport = "shm"
+            transitions, init_item = _shm_sweep(
+                system, n_workers, collect, max_states, stats, codec,
                 faults=faults, poll=poll_interval,
                 batch_size=batch_size or _BATCH,
-                fault_tolerant=fault_tolerant,
+                ring_bytes=ring_bytes,
                 obs=obs, trace_dir=trace_dir,
             )
     except (ExplorationLimitError, WorkerFailureError) as exc:

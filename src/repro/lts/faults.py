@@ -9,27 +9,25 @@ harness that makes worker crashes reproducible on demand.
 A :class:`FaultPlan` names, per worker, one of three misbehaviours:
 
 ``kill:W@N``
-    Worker ``W`` hard-exits (``os._exit``) on the next message it
-    receives after having answered ``N`` work batches — the in-flight
-    batches in its inbox are lost, exactly like a machine crash.
+    Worker ``W`` hard-exits (``os._exit``) on the next expansion
+    quantum it gathers after having acknowledged ``N`` quanta — the
+    gathered but unacknowledged input is lost to it, exactly like a
+    machine crash.
 ``raise:W@N``
     Worker ``W`` raises :class:`FaultInjection` from inside the
-    successor function while expanding its ``N``-th batch (0-based);
+    successor function while expanding its ``N``-th quantum (0-based);
     the exception escapes the worker loop and the process dies with a
     nonzero exit code, like any model bug would make it.
 ``delay:W@SECONDS``
-    Worker ``W`` sleeps before expanding every batch — no crash, but
+    Worker ``W`` sleeps before expanding every quantum — no crash, but
     the coordinator's timed poll keeps expiring, which exercises the
     liveness-check path without any worker actually being dead.
 
 Plans are wired through ``distributed_explore(faults=...)`` and the
 ``repro bench --inject-fault`` flag; recovery is observable through
 ``DistributedStats.worker_deaths`` / ``redispatched_batches`` /
-``recovered``. Injection is transport-independent: the same plans
-fire inside the queue-transport workers and the shared-memory ring
-workers (where ``kill``/``raise`` count expansion *quanta* instead of
-fixed-size batches), and recovery must reproduce exact serial totals
-over both data planes (``tests/lts/test_faults.py``,
+``recovered``. Recovery must reproduce exact serial totals for every
+system, with or without a codec (``tests/lts/test_faults.py``,
 ``tests/lts/test_shm_transport.py``).
 """
 
@@ -43,7 +41,7 @@ from repro.errors import ReproError
 
 
 def _count(text: str) -> int:
-    """A non-negative batch count (negatives are parse errors)."""
+    """A non-negative quantum count (negatives are parse errors)."""
     n = int(text)
     if n < 0:
         raise ValueError(text)
@@ -94,13 +92,13 @@ class FaultPlan:
     Attributes
     ----------
     kill:
-        worker id -> die on the next message after this many answered
-        batches.
+        worker id -> die on the next quantum after this many
+        acknowledged quanta.
     raise_in:
         worker id -> raise inside ``successors`` while expanding this
-        batch (0-based count of answered batches).
+        quantum (0-based count of acknowledged quanta).
     delay:
-        worker id -> seconds slept before expanding every batch.
+        worker id -> seconds slept before expanding every quantum.
     """
 
     kill: dict[int, int] = field(default_factory=dict)

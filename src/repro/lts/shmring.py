@@ -1,15 +1,19 @@
 """Shared-memory ring buffers for the distributed sweep's data plane.
 
-The pickled-queue transport routes every successor bucket through the
-coordinator: each hop pays a pickle, an OS pipe write, an unpickle, a
-coordinator dispatch, and the same again towards the owner. This module
-provides the replacement data plane — one single-producer
+Routing every successor block through a coordinator would cost each hop
+a pickle, an OS pipe write, an unpickle, a coordinator dispatch, and the
+same again towards the owner. This module provides the data plane of
+:mod:`repro.lts.distributed` instead — one single-producer
 single-consumer :class:`RingBuffer` per ordered worker pair, backed by
-:mod:`multiprocessing.shared_memory` — so workers forward packed codec
-keys **directly to their owners** as flat little-endian byte blocks and
-the coordinator drops off the steady-state path entirely (it keeps only
-control traffic: acknowledgements, termination counting, liveness and
-the crash-recovery ledger).
+:mod:`multiprocessing.shared_memory` — so workers forward key blocks
+**directly to their owners** and the coordinator stays off the
+steady-state path entirely (it keeps only control traffic:
+acknowledgements, termination counting, liveness and the crash-recovery
+ledger).
+
+:class:`KeyFormat` is the one place that knows how keys are laid out in
+a block: flat little-endian fixed-width codec keys for systems with a
+codec, a pickled list of states for systems without one.
 
 Layout of one ring (``HEADER_BYTES`` header + ``capacity`` data bytes)::
 
@@ -37,15 +41,16 @@ worker consumed-but-never-acked is still physically in its inbound
 rings and :meth:`RingBuffer.drain_unconsumed` (coordinator crash path,
 producers known stopped) recovers it.
 
-:class:`AdaptiveBatch` is the transport's pacing controller: the queue
-backend's fixed 256-state batches are far too small for fast models
-(thousands of per-batch round trips) and too large for slow ones. It
+:class:`AdaptiveBatch` is the transport's pacing controller: a fixed
+256-state batch is far too small for fast models (thousands of
+per-batch round trips) and too large for slow ones. It
 tracks an exponential moving average of the measured expansion rate and
 sizes the next quantum to a wall-clock target.
 """
 
 from __future__ import annotations
 
+import pickle
 import struct
 from multiprocessing import shared_memory
 
@@ -246,7 +251,7 @@ class RingBuffer:
 
 def pack_keys(keys, width: int) -> bytes:
     """Flatten integer codec keys into little-endian ``width``-byte slots."""
-    return b"".join(k.to_bytes(width, "little") for k in keys)
+    return b"".join([k.to_bytes(width, "little") for k in keys])
 
 
 def unpack_keys(payload, width: int) -> list[int]:
@@ -256,6 +261,46 @@ def unpack_keys(payload, width: int) -> list[int]:
         ifb(payload[i: i + width], "little")
         for i in range(0, len(payload), width)
     ]
+
+
+class KeyFormat:
+    """The wire format of state keys in ring records, acks and relays.
+
+    Chosen once per sweep from the system:
+
+    * ``KeyFormat(width)`` — the system has a codec, a key is its packed
+      integer, and a block is the keys in little-endian ``width``-byte
+      slots (:func:`pack_keys`). Blocks of equal keys are equal bytes,
+      so the coordinator's ack ledger can keep them as raw bytes.
+    * ``KeyFormat(None)`` — no codec, the key is the state itself, and
+      a block is a pickled list of states. Pickles of equal states can
+      differ (string identity, tuple sharing), so consumers compare the
+      unpickled states, never the bytes.
+    """
+
+    __slots__ = ("width",)
+
+    def __init__(self, width: int | None):
+        if width is not None and width < 1:
+            raise ValueError("key width must be >= 1")
+        self.width = width
+
+    @property
+    def packed(self) -> bool:
+        """True for fixed-width codec keys."""
+        return self.width is not None
+
+    def pack(self, keys) -> bytes:
+        """One block holding ``keys``."""
+        if self.width is None:
+            return pickle.dumps(list(keys), pickle.HIGHEST_PROTOCOL)
+        return pack_keys(keys, self.width)
+
+    def unpack(self, payload) -> list:
+        """The keys of one block (inverse of :meth:`pack`)."""
+        if self.width is None:
+            return pickle.loads(payload)
+        return unpack_keys(payload, self.width)
 
 
 class AdaptiveBatch:

@@ -52,13 +52,13 @@ def key_owner(key: Hashable, n: int) -> int:
     """The worker in ``range(n)`` owning ``key`` (stable within a run).
 
     ``key`` is typically a packed codec integer, but any hashable works
-    (tuple shipping). Both distributed transports — the pickled-queue
-    fallback and the shared-memory ring data plane — route through this
-    single function, so a key's owner never depends on which transport
-    carried it: the built-in hash is avalanche-mixed by :func:`mix64`
-    before the modulo, because raw hashes of packed keys (plain ints)
-    and of small-int tuples carry low-bit structure that ``% n`` would
-    fold into skewed partitions.
+    (the states of a system without a codec). The inline backend, the
+    process coordinator and — inlined — the ring workers all route
+    through this single function, so a key's owner never depends on the
+    code path that routed it: the built-in hash is avalanche-mixed by
+    :func:`mix64` before the modulo, because raw hashes of packed keys
+    (plain ints) and of small-int tuples carry low-bit structure that
+    ``% n`` would fold into skewed partitions.
     """
     return mix64(hash(key)) % n
 

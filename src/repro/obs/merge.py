@@ -11,15 +11,15 @@ coordinator's (both read the same system-wide monotonic clock on
 Linux; the offset is the fork-to-first-event latency, recorded rather
 than assumed zero). Adding a stream's offset to its local ``t`` values
 maps every event onto the coordinator's clock, which makes the merged
-order causal: a ``dispatch`` at the coordinator precedes the worker's
-``ack`` for the same ``(worker, seq)``, a ``ring_put`` precedes the
-consuming ``ring_get``.
+order causal: a worker's ``ring_get`` quantum pickup precedes the
+coordinator's ``ack`` for the same ``(worker, seq)``, a ``ring_put``
+precedes the consuming ``ring_get``.
 
 :func:`merge_traces` does exactly that — load (leniently: crashed
 workers end mid-line), shift, tag each event with its ``lane``, and
 merge-sort. The result feeds :func:`repro.obs.report.render_report`,
 which renders per-worker lanes, busy/idle utilization and
-dispatch-to-ack latency when lanes are present.
+pickup-to-ack batch latency when lanes are present.
 """
 
 from __future__ import annotations

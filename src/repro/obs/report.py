@@ -3,15 +3,15 @@
 The consumer side of :mod:`repro.obs.tracer`: ``repro report
 trace.jsonl`` loads the JSONL events back and prints, per sweep, the
 depth waves, the per-phase timing breakdown (successor generation vs
-dedup vs transport), the distributed worker timeline (dispatches,
-deaths, re-dispatches, fault injections), and the mu-calculus fixpoint
+dedup vs transport), the distributed worker timeline (deaths,
+re-dispatches, fault injections), and the mu-calculus fixpoint
 and requirement-check summaries.
 
 ``repro report`` also accepts a ``--trace-dir`` directory (or several
 files): the per-process streams are merged into one causal timeline
 (:mod:`repro.obs.merge`) and each sweep additionally renders
 **per-worker lanes** — one row per worker stream with its quantum
-count, busy/idle split and utilization — plus the **dispatch-to-ack
+count, busy/idle split and utilization — plus the **pickup-to-ack
 batch latency** distribution across the control plane, the two numbers
 multi-worker scaling work on real hardware is diagnosed with.
 
@@ -46,11 +46,9 @@ def phase_breakdown(events: list[dict]) -> dict:
             ws = e.get("worker_succ_s", 0.0)
             succ += ws
             dedup += max(e.get("worker_expand_s", 0.0) - ws, 0.0)
-            # queue transport: coordinator routing; shm transport:
             # ring writes/reads (workers) + the control-plane handling
             transport += (
-                e.get("coord_put_s", 0.0)
-                + e.get("coord_handle_s", 0.0)
+                e.get("coord_handle_s", 0.0)
                 + e.get("ring_put_s", 0.0)
                 + e.get("ring_get_s", 0.0)
             )
@@ -140,8 +138,8 @@ _TIMELINE_EVENTS = (
     "limit", "coord_sample", "mem_pressure", "worker_start",
 )
 
-#: events whose (worker, seq) stamp opens a batch's latency window
-_BATCH_OPEN_EVENTS = ("dispatch", "ring_get")
+#: event whose (worker, seq) stamp opens a batch's latency window
+_BATCH_OPEN_EVENT = "ring_get"
 
 
 def _has_lanes(events: list[dict]) -> bool:
@@ -157,12 +155,12 @@ def _fmt_bytes(n: float) -> str:
 
 
 def _batch_latencies(events: list[dict]) -> list[float]:
-    """Dispatch-to-ack seconds per correlated ``(worker, seq)`` batch.
+    """Pickup-to-ack seconds per correlated ``(worker, seq)`` batch.
 
-    A batch opens at the coordinator's ``dispatch`` (queue transport)
-    or the worker's ``ring_get`` quantum pickup (shm transport) and
+    A batch opens at the worker's ``ring_get`` quantum pickup and
     closes at the coordinator-side ``ack`` carrying the same
-    correlation id — the full work-plus-control round trip.
+    correlation id — the full work-plus-control round trip. (The
+    rendered line keeps its historical ``dispatch->ack`` label.)
     """
     opened: dict[tuple, float] = {}
     out: list[float] = []
@@ -171,7 +169,7 @@ def _batch_latencies(events: list[dict]) -> list[float]:
         if key[0] is None or key[1] is None:
             continue
         ev = e.get("ev")
-        if ev in _BATCH_OPEN_EVENTS:
+        if ev == _BATCH_OPEN_EVENT:
             opened.setdefault(key, e.get("t", 0.0))
         elif ev == "ack" and e.get("lane", "coordinator") == "coordinator":
             t0 = opened.pop(key, None)

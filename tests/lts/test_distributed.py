@@ -84,6 +84,7 @@ def test_process_limit_fills_stats_and_attaches():
         )
     stats = ei.value.stats
     assert stats is not None
+    assert stats.transport == "shm"
     assert stats.states > 100
     assert stats.seconds > 0.0
 
@@ -114,8 +115,47 @@ def test_generator_successors_process_backend():
     sys_ = GeneratorDiamond(6)
     exact = explore(sys_)
     _lts, stats = distributed_explore(sys_, n_workers=2, backend="process")
+    assert stats.transport == "shm"
     assert stats.states == exact.n_states
     assert stats.transitions == exact.n_transitions
+
+
+class Grid:
+    """A w x h grid walked right/down; (w-1, h-1) is terminal."""
+
+    def __init__(self, w=4, h=3):
+        self.w, self.h = w, h
+
+    def initial_state(self):
+        return (0, 0)
+
+    def successors(self, s):
+        x, y = s
+        out = []
+        if x + 1 < self.w:
+            out.append(("right", (x + 1, y)))
+        if y + 1 < self.h:
+            out.append(("down", (x, y + 1)))
+        return out
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["diamond", "grid", "chain"])
+def test_process_backend_equals_explore_on_codecless_fixtures(
+    name, chain_system
+):
+    sys_ = {
+        "diamond": Diamond(9), "grid": Grid(7, 5), "chain": chain_system,
+    }[name]
+    lts, stats = distributed_explore(
+        sys_, n_workers=2, backend="process", collect=True
+    )
+    assert stats.transport == "shm"
+    exact = explore(sys_)
+    assert (stats.states, stats.transitions, stats.deadlocks) == (
+        exact.n_states, exact.n_transitions, len(exact.deadlock_states())
+    )
+    assert lts == exact
 
 
 def test_bad_arguments(chain_system):
@@ -132,9 +172,10 @@ def test_process_backend_matches_serial():
     lts, stats = distributed_explore(
         sys, n_workers=2, backend="process", collect=True
     )
+    assert stats.transport == "shm"
     assert stats.states == exact.n_states
     assert stats.transitions == exact.n_transitions
-    assert lts.n_states == exact.n_states
+    assert lts == exact
 
 
 def test_imbalance_metric():
@@ -214,6 +255,20 @@ def test_inline_backend_matches_serial_on_jackal(tpp, rounds):
     assert stats.deadlocks == len(exact.deadlock_states())
 
 
+class _NoCodec:
+    """A view of a system that hides its codec: its states themselves
+    travel between workers, pickled."""
+
+    def __init__(self, system):
+        self._system = system
+
+    def initial_state(self):
+        return self._system.initial_state()
+
+    def successors(self, state):
+        return self._system.successors_fast(state)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("packed", [True, False])
 def test_process_backend_matches_serial_on_jackal(packed):
@@ -224,23 +279,19 @@ def test_process_backend_matches_serial_on_jackal(packed):
     )
     exact = explore(model)
     _lts, stats = distributed_explore(
-        model, n_workers=2, backend="process", packed=packed
+        model if packed else _NoCodec(model), n_workers=2, backend="process"
     )
+    assert stats.transport == "shm"
     assert stats.states == exact.n_states
     assert stats.transitions == exact.n_transitions
     assert stats.deadlocks == len(exact.deadlock_states())
     assert sum(stats.per_worker_batches) == stats.batches > 0
 
 
-def test_packed_requires_codec(chain_system):
-    with pytest.raises(ValueError):
-        distributed_explore(chain_system, backend="inline", packed=True)
-
-
 def test_packed_auto_detection(chain_system):
     from repro.jackal import Config, JackalModel
 
-    # systems without a codec fall back to tuple shipping silently
+    # systems without a codec ship their states themselves
     _lts, stats = distributed_explore(
         chain_system, n_workers=2, backend="inline"
     )

@@ -1,24 +1,28 @@
 """Tests for the shared-memory ring transport.
 
-Three layers: the SPSC ring primitive and the key packing helpers
+Three layers: the SPSC ring primitive and the key formats
 (:mod:`repro.lts.shmring`), the adaptive quantum controller, and the
-full shm-transport sweep — which must explore exactly the same LTS as
-the queue transport and the serial reference, with and without injected
-worker faults, because a transport that changes counts is not a
-transport but a bug.
+full process-backend sweep — which must explore exactly the same LTS as
+the serial reference for every system, with a codec or without, with
+and without injected worker faults, because a transport that changes
+counts is not a transport but a bug.
 """
+
+import multiprocessing
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.jackal import Config, JackalModel
-from repro.lts.distributed import _coalesce, _take_chunk, distributed_explore
+from repro.lts.distributed import distributed_explore
 from repro.lts.explore import explore
 from repro.lts.faults import FaultPlan
 from repro.lts.reduction import minimize_strong
 from repro.lts.shmring import (
     AdaptiveBatch,
+    KeyFormat,
     RingBuffer,
     pack_keys,
     unpack_keys,
@@ -40,6 +44,45 @@ class Diamond:
         if level >= self.width:
             return []
         return [("l", (level + 1, pos)), ("r", (level + 1, pos + 1))]
+
+
+class RebuiltStates:
+    """A codec-less grid whose equal states are distinct objects.
+
+    A state is ``(name, cells)``: ``name`` is a string assembled at run
+    time (never interned, so equal names are different objects) and
+    ``cells`` a nested tuple whose subtrees are shared when the state is
+    reached along an ``i`` edge and rebuilt when reached along a ``j``
+    edge. The same state therefore pickles to different bytes depending
+    on the path that generated it — deduplication must compare states,
+    not their serialisations.
+    """
+
+    def __init__(self, n=12):
+        self.n = n
+
+    def _state(self, i, j, shared):
+        name = "-".join(["s", str(i), str(j)])
+        leaf = (i % 3, (j % 2, "x" * (i % 2)))
+        cells = (leaf, leaf) if shared else (
+            leaf, (i % 3, (j % 2, "x" * (i % 2)))
+        )
+        return (name, cells)
+
+    def initial_state(self):
+        return self._state(0, 0, True)
+
+    def successors(self, s):
+        _s, i, j = s[0].split("-")
+        i, j = int(i), int(j)
+        out = []
+        if i < self.n:
+            out.append(("i", self._state(i + 1, j, True)))
+        if j < self.n:
+            out.append(("j", self._state(i, j + 1, False)))
+        if i == j == self.n:
+            out.append(("back", self.initial_state()))
+        return out
 
 
 def _jackal(tpp):
@@ -139,6 +182,29 @@ def test_pack_unpack_keys_roundtrip():
     assert unpack_keys(blob, 9) == keys
 
 
+def test_key_formats_roundtrip():
+    codec_fmt = KeyFormat(9)
+    assert codec_fmt.packed
+    keys = [0, 255, 2**64 - 1]
+    assert codec_fmt.pack(keys) == pack_keys(keys, 9)
+    assert codec_fmt.unpack(codec_fmt.pack(keys)) == keys
+
+    state_fmt = KeyFormat(None)
+    assert not state_fmt.packed
+    sys_ = RebuiltStates(3)
+    # the same state reached along two edges: equal, but its pickles
+    # differ — the format must hand back equal states regardless
+    via_i = sys_.successors(sys_._state(0, 1, False))[0][1]
+    via_j = sys_.successors(sys_._state(1, 0, True))[1][1]
+    assert via_i == via_j
+    assert pickle.dumps(via_i) != pickle.dumps(via_j)
+    got = state_fmt.unpack(state_fmt.pack([via_i, via_j]))
+    assert got == [via_i, via_j]
+    assert len(set(got)) == 1
+    with pytest.raises(ValueError):
+        KeyFormat(0)
+
+
 # -- AdaptiveBatch ----------------------------------------------------------
 
 
@@ -191,10 +257,18 @@ def test_adaptive_batch_stays_within_bounds(observations):
 def test_worker_inlined_owner_mix_matches_key_owner():
     # the shm worker inlines the splitmix64 finaliser of key_owner();
     # the two must agree for every key or partitions would depend on
-    # the code path that routed the state
+    # the code path that routed the state. Systems without a codec
+    # route their states themselves, so tuples and strings — including
+    # ones whose hash() is negative — must agree as well.
     m64 = (1 << 64) - 1
+    states = [("s", i) for i in range(64)] + [f"state-{i}" for i in range(64)]
+    states += [(-i, (i, "x")) for i in range(64)]
+    negative = [s for s in states if hash(s) < 0]
+    assert any(isinstance(s, str) for s in negative)
+    assert any(isinstance(s, tuple) for s in negative)
     for n_workers in (1, 2, 3, 7):
-        for key in list(range(64)) + [2**31 - 1, 2**64 - 1, 2**199 + 17]:
+        for key in list(range(64)) + [2**31 - 1, 2**64 - 1, 2**199 + 17,
+                                      -1, -(2**70)] + negative:
             h = hash(key) & m64
             h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & m64
             h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & m64
@@ -202,66 +276,20 @@ def test_worker_inlined_owner_mix_matches_key_owner():
             assert inlined == key_owner(key, n_workers)
 
 
-# -- dispatch-queue helpers (regression: O(n) list ops) ---------------------
-
-
-def test_coalesce_merges_and_take_chunk_splits():
-    from collections import deque
-
-    q: deque = deque()
-    _coalesce(q, 0, [1, 2], batch_size=4)
-    _coalesce(q, 0, [3], batch_size=4)          # merges into the tail
-    assert list(q) == [(0, [1, 2, 3])]
-    _coalesce(q, 1, [4], batch_size=4)          # new depth: new entry
-    _coalesce(q, 1, [5, 6, 7, 8], batch_size=4)
-    _coalesce(q, 1, [9], batch_size=4)          # tail full: new entry
-    assert len(q) == 3
-    depth, chunk = _take_chunk(q, 2)
-    assert depth == 0 and chunk == [2, 3]       # oversize head splits
-    depth, chunk = _take_chunk(q, 2)
-    assert depth == 0 and chunk == [1]
-    seen = []
-    while q:
-        depth, chunk = _take_chunk(q, 100)
-        seen.append((depth, chunk))
-    assert seen == [(1, [4, 5, 6, 7, 8]), (1, [9])]
-
-
-def test_dispatch_queue_is_not_quadratic_on_wide_frontiers():
-    # regression for the old list-based pending queue: `queue[-1][1] +
-    # bucket` rebuilt the tail per merge and `queue.pop(0)` copied the
-    # remainder per dispatch — O(n^2) over a wide frontier. The deque +
-    # in-place-extend version drains 200k items in linear time; the old
-    # shape took multiple seconds on this workload.
-    import time
-    from collections import deque
-
-    q: deque = deque()
-    t0 = time.perf_counter()
-    for i in range(2000):
-        _coalesce(q, 0, list(range(100)), batch_size=256)
-    drained = 0
-    while q:
-        _depth, chunk = _take_chunk(q, 256)
-        drained += len(chunk)
-    elapsed = time.perf_counter() - t0
-    assert drained == 200_000
-    assert elapsed < 1.0, f"dispatch drain took {elapsed:.2f}s"
-
-
-# -- backend equivalence: shm vs queue vs serial ----------------------------
+# -- backend equivalence: process backend vs serial -------------------------
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("transport", ["queue", "shm"])
+@pytest.mark.parametrize("transport", ["auto", "shm"])
 def test_transport_matches_serial_on_jackal_config1(transport):
+    # both accepted spellings run the one data plane
     model = _jackal((1, 1))
     exact = explore(model)
     _lts, stats = distributed_explore(
         model, n_workers=2, backend="process", transport=transport,
         batch_size=64,
     )
-    assert stats.transport == transport
+    assert stats.transport == "shm"
     assert stats.states == exact.n_states
     assert stats.transitions == exact.n_transitions
     assert stats.deadlocks == len(exact.deadlock_states())
@@ -272,15 +300,13 @@ def test_transport_matches_serial_on_jackal_config1(transport):
 def test_transports_match_serial_on_jackal_config2():
     model = _jackal((2, 1))
     exact = explore(model)
-    for transport in ("queue", "shm"):
-        _lts, stats = distributed_explore(
-            model, n_workers=2, backend="process", transport=transport,
-        )
-        assert (stats.states, stats.transitions, stats.deadlocks) == (
-            exact.n_states,
-            exact.n_transitions,
-            len(exact.deadlock_states()),
-        )
+    _lts, stats = distributed_explore(model, n_workers=2, backend="process")
+    assert stats.transport == "shm"
+    assert (stats.states, stats.transitions, stats.deadlocks) == (
+        exact.n_states,
+        exact.n_transitions,
+        len(exact.deadlock_states()),
+    )
 
 
 @pytest.mark.slow
@@ -321,16 +347,76 @@ def test_shm_spawn_time_reported_separately():
 
 
 def test_transport_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown transport"):
         distributed_explore(Diamond(3), transport="carrier-pigeon")
-    # shm ships packed codec keys: a codec-less system must be refused
-    with pytest.raises(ValueError):
-        distributed_explore(Diamond(3), transport="shm")
-    # ... and auto falls back to the queue transport for it
+    # the pickled-queue transport is gone, and says so
+    with pytest.raises(ValueError, match="removed"):
+        distributed_explore(Diamond(3), transport="queue")
+    # a codec-less system runs over the rings like any other
+    _lts, stats = distributed_explore(
+        Diamond(3), n_workers=2, backend="process", transport="shm"
+    )
+    assert stats.transport == "shm"
+    assert stats.states == explore(Diamond(3)).n_states
+
+
+def test_process_backend_without_fork_names_inline(monkeypatch):
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    with pytest.raises(ValueError, match="backend='inline'"):
+        distributed_explore(Diamond(3), n_workers=2, backend="process")
+    # the inline backend needs no worker processes at all
     _lts, stats = distributed_explore(
         Diamond(3), n_workers=2, backend="inline"
     )
     assert stats.states == explore(Diamond(3)).n_states
+
+
+# -- systems without a codec -------------------------------------------------
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_codecless_system_counts_match_serial(n_workers):
+    sys_ = RebuiltStates(14)
+    exact = explore(sys_)
+    _lts, stats = distributed_explore(
+        sys_, n_workers=n_workers, backend="process", batch_size=8,
+    )
+    assert stats.transport == "shm"
+    assert stats.states == exact.n_states
+    assert stats.transitions == exact.n_transitions
+    assert stats.deadlocks == len(exact.deadlock_states())
+    assert sum(stats.per_worker_states) == stats.states
+
+
+@pytest.mark.slow
+def test_codecless_system_collect_equals_explore():
+    sys_ = RebuiltStates(10)
+    lts, stats = distributed_explore(
+        sys_, n_workers=2, backend="process", collect=True, batch_size=8,
+    )
+    assert stats.transport == "shm"
+    assert lts == explore(sys_)
+
+
+@pytest.mark.slow
+def test_codecless_system_kill_recovers_exact_counts():
+    sys_ = RebuiltStates(30)
+    exact = explore(sys_)
+    _lts, stats = distributed_explore(
+        sys_, n_workers=2, backend="process",
+        faults=FaultPlan.parse("kill:0@2"),
+        batch_size=8, poll_interval=0.05,
+    )
+    assert stats.transport == "shm"
+    assert stats.states == exact.n_states
+    assert stats.transitions == exact.n_transitions
+    assert stats.deadlocks == len(exact.deadlock_states())
+    assert stats.worker_deaths == 1
+    assert stats.recovered
+    assert sum(stats.per_worker_states) == stats.states
 
 
 # -- fault injection over the shm transport ---------------------------------

@@ -85,9 +85,11 @@ def test_kill_recovery_recorded_end_to_end():
     assert end["recovered"] is True
     assert end["states"] == exact.n_states
 
-    # dispatches and acks were recorded; the dead worker acked fewer
-    assert _events(inst, "dispatch")
-    assert _events(inst, "ack")
+    # the coordinator recorded every quantum's ack (quanta open at the
+    # workers' ring_get, which lives in the per-worker streams)
+    acks = _events(inst, "ack")
+    assert len(acks) == stats.batches
+    assert stats.transport == "shm"
 
     snap = inst.metrics.snapshot()
     assert snap["repro_dist_worker_deaths_total"] == 1
@@ -139,6 +141,13 @@ def test_per_worker_streams_and_merged_report(tmp_path):
     wacks = [e for e in merged if e["ev"] == "ack"
              and e["lane"].startswith("worker")]
     assert wacks and all("seq" in e for e in wacks)
+    # batches open at the workers' ring_get quantum pickups, correlated
+    # with the coordinator's acks by (worker, seq)
+    gets = {(e["worker"], e["seq"]) for e in merged
+            if e["ev"] == "ring_get"}
+    cacks = {(e["worker"], e["seq"]) for e in merged
+             if e["ev"] == "ack" and e["lane"] == "coordinator"}
+    assert cacks and cacks <= gets
 
     text = report_from_paths([str(td)])
     assert "worker lanes:" in text

@@ -77,19 +77,6 @@ def test_instrumented_run_explores_the_same_lts(model):
     assert end["transitions"] == plain.n_transitions
 
 
-def test_engine_memo_hits_are_counted(model):
-    memo: dict = {}
-    inst = _bundle()
-    explore_fast(model, memo=memo, obs=inst)
-    assert _events(inst, "sweep_end")[0]["memo_hits"] == 0
-    inst2 = _bundle()
-    explore_fast(model, memo=memo, obs=inst2)
-    end = _events(inst2, "sweep_end")[0]
-    assert end["memo_hits"] > 0
-    snap = inst2.metrics.snapshot()
-    assert snap["repro_memo_hits_total"] == end["memo_hits"]
-
-
 def test_metrics_snapshot_after_engine_sweep(model):
     inst = _bundle()
     lts = explore_fast(model, obs=inst)

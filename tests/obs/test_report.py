@@ -25,7 +25,7 @@ def test_phase_breakdown_from_wave_events():
 def test_phase_breakdown_from_distributed_end():
     events = [
         {"ev": "sweep_end", "seconds": 1.0, "worker_succ_s": 0.3,
-         "worker_expand_s": 0.5, "coord_put_s": 0.1, "coord_handle_s": 0.1},
+         "worker_expand_s": 0.5, "ring_put_s": 0.1, "coord_handle_s": 0.1},
     ]
     phases = phase_breakdown(events)
     assert phases["successors_s"] == 0.3
@@ -156,7 +156,7 @@ def test_report_on_interleaved_multi_sweep_trace():
 
 def test_render_lanes_and_batch_latency():
     """Lane-tagged merged events render per-worker utilization and the
-    cross-worker dispatch-to-ack latency distribution."""
+    cross-worker pickup-to-ack latency distribution."""
     events = [
         {"t": 0.0, "ev": "sweep_start", "backend": "distributed-process",
          "n_workers": 2, "lane": "coordinator"},
@@ -164,8 +164,8 @@ def test_render_lanes_and_batch_latency():
          "lane": "worker0"},
         {"t": 0.001, "ev": "worker_start", "worker": 1, "clock_offset": 0.0,
          "lane": "worker1"},
-        {"t": 0.01, "ev": "dispatch", "worker": 0, "seq": 1,
-         "lane": "coordinator"},
+        {"t": 0.01, "ev": "ring_get", "worker": 0, "seq": 1,
+         "lane": "worker0"},
         {"t": 0.02, "ev": "ack", "worker": 0, "seq": 1, "states": 5,
          "visited": 5, "expand_s": 0.004, "lane": "worker0"},
         {"t": 0.03, "ev": "ack", "worker": 0, "seq": 1, "states": 5,
@@ -179,7 +179,7 @@ def test_render_lanes_and_batch_latency():
     assert "worker lanes:" in text
     assert "worker0" in text and "worker1" in text
     assert "util" in text and "idle s" in text
-    # the 0.01 -> 0.03 dispatch->ack window: 20ms
+    # the 0.01 -> 0.03 pickup->ack window: 20ms
     assert "dispatch->ack latency: n=1 min 20.0 ms" in text
     assert "memory: max RSS 1.0 MiB" in text
 
