@@ -218,13 +218,19 @@ def _cmd_explore(args) -> int:
     variant = _VARIANTS[args.variant]()
     cert = _certificate(args)
     if args.distributed:
+        from repro.lts.bench import machine_workers
         from repro.lts.distributed import distributed_explore
 
+        if args.aut:
+            raise ReproError(
+                "--aut needs the explicit LTS; drop --distributed "
+                "(the distributed backend is count-only from the CLI)"
+            )
         model = build_model(cfg, variant, probes=args.probes)
         with _instrumented(args):
             _lts, stats = distributed_explore(
                 model,
-                n_workers=args.workers or os.cpu_count() or 2,
+                n_workers=args.workers or machine_workers(),
                 max_states=args.max_states,
                 certificate=cert,
             )
@@ -242,11 +248,6 @@ def _cmd_explore(args) -> int:
             f"({variant.describe()})",
             list(row), [row],
         ).render())
-        if args.aut:
-            raise ReproError(
-                "--aut needs the explicit LTS; drop --distributed "
-                "(the distributed backend is count-only from the CLI)"
-            )
         return 0
     with _instrumented(args):
         _model, lts = build_lts(
@@ -532,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
                    "stream per worker)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for --distributed "
-                   "(default: the machine's CPU count)")
+                   "(default: the machine's available CPU count)")
     _add_reduce_arg(p)
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_explore)

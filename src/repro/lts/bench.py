@@ -290,49 +290,40 @@ def bench_explore(
             "slice_hits": system.slice_hits - hits0[2],
         }
 
-    def _note_mem(name: str, mw: MemWatch) -> None:
+    def _recorded(name: str, run):
+        # one extra instrumented pass per backend feeds the phase
+        # breakdown, metrics snapshot and memory watermarks — never the
+        # timed runs above, so the throughput numbers stay
+        # un-instrumented
+        registry, tracer = MetricsRegistry(), Tracer()
+        mw = MemWatch(metrics=registry)
+        with Instrumentation(metrics=registry, tracer=tracer,
+                             memwatch=mw) as inst:
+            run(inst)
         row = report["backends"].get(name)
-        if row is None:  # pragma: no cover - instrumented-only backends
-            return
-        summ = mw.summary()
-        row["max_rss_bytes"] = summ["max_rss_bytes"]
-        row["mem"] = summ
+        if row is not None:
+            row["max_rss_bytes"] = mw.max_rss_bytes
+            row["mem"] = mw.summary()
+        return phase_breakdown(tracer.events()), registry
 
-    # one extra instrumented engine pass feeds the phase breakdown,
-    # metrics snapshot and memory watermarks — never the timed runs
-    # above, so the throughput numbers stay un-instrumented
-    registry = MetricsRegistry()
-    tracer = Tracer()
-    mw_engine = MemWatch(metrics=registry)
-    with Instrumentation(metrics=registry, tracer=tracer,
-                         memwatch=mw_engine) as inst:
-        explore_fast(system, obs=inst)
-    report["phases"] = phase_breakdown(tracer.events())
     engine_name = next(
         (n for n in ("engine", "engine-packed") if n in report["backends"]),
-        None,
+        "engine",
     )
-    if engine_name is not None:
-        _note_mem(engine_name, mw_engine)
-    # one instrumented serial pass for its watermark series (the serial
-    # reference is the out-of-core tier's memory baseline)
-    mw_serial = MemWatch()
-    with Instrumentation(memwatch=mw_serial) as inst_s:
-        explore(system, obs=inst_s)
-    _note_mem("serial", mw_serial)
+    report["phases"], registry = _recorded(
+        engine_name, lambda inst: explore_fast(system, obs=inst)
+    )
+    # the serial reference is the out-of-core tier's memory baseline
+    _recorded("serial", lambda inst: explore(system, obs=inst))
     if best_dist is not None:
-        # one instrumented distributed pass: the data-plane share of
-        # the sweep and the coordinator's memory watermark
-        reg_d, tracer_d = MetricsRegistry(), Tracer()
-        mw_d = MemWatch(metrics=reg_d)
-        with Instrumentation(metrics=reg_d, tracer=tracer_d,
-                             memwatch=mw_d) as inst_d:
-            distributed_explore(
+        # the data-plane share of the sweep and the coordinator's
+        # memory watermark
+        report["phases_distributed"], _ = _recorded(
+            "distributed", lambda inst: distributed_explore(
                 system, n_workers=n_workers, backend="process",
-                batch_size=batch_size, obs=inst_d,
+                batch_size=batch_size, obs=inst,
             )
-        report["phases_distributed"] = phase_breakdown(tracer_d.events())
-        _note_mem("distributed", mw_d)
+        )
     metrics = registry.snapshot()
     if best_dist is not None:
         metrics["repro_dist_worker_deaths_total"] = best_dist.worker_deaths

@@ -48,9 +48,9 @@ the wrapped system's exact configuration and variant (JKL303–JKL305,
 JKL401–404); there is no degraded mode. The wrapper counts
 ``canonical_hits`` (successors whose key changed under
 canonicalization), ``ample_prunes`` (transitions pruned) and
-``slice_hits`` (successors changed by projection), which the backends
-surface as ``repro_reduce_*`` metrics and ``bench_explore`` turns into
-the reported reduction factor.
+``slice_hits`` (successors changed by projection), which every sweep
+reports as its own delta through :mod:`repro.obs.sweep` and
+``bench_explore`` turns into the reported reduction factor.
 """
 
 from __future__ import annotations

@@ -39,9 +39,12 @@ backends are provided:
 
 ``"inline"``
     The same partitioned algorithm run sequentially in-process in the
-    classical bulk-synchronous level order (deterministic; the
-    reference the process backend is tested against, and the backend
-    for platforms without ``fork``).
+    classical bulk-synchronous level order (deterministic, and the
+    backend for platforms without ``fork``).
+
+Both backends, like the engine, are tested against the serial
+reference :func:`repro.lts.explore.explore` (equal counts, and an equal
+LTS when collected).
 
 The ``"process"`` coordinator is **fault tolerant**: eight-node-cluster
 sweeps die with their weakest node, so worker loss is treated as an
@@ -77,8 +80,9 @@ count, and a skewed partition turns one worker into the whole sweep's
 critical path (see ``DistributedStats.imbalance``).
 
 For exact LTS construction the transitions can be collected
-(``collect=True``); for large sweeps the default is a count-only run,
-which is what the paper's Table 8 numbers require.
+(``collect=True``; :func:`~repro.lts.explore.explore` numbers them);
+for large sweeps the default is a count-only run, which is what the
+paper's Table 8 numbers require.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ from queue import Empty
 from typing import Hashable
 
 from repro.errors import ExplorationLimitError, WorkerFailureError
-from repro.lts.explore import TransitionSystem
+from repro.lts.explore import TransitionSystem, explore
 from repro.lts.faults import FaultPlan, WorkerFault, crash_process
 from repro.lts.lts import LTS
 from repro.lts.shmring import (
@@ -104,9 +108,10 @@ from repro.lts.shmring import (
     RingBuffer,
 )
 from repro.lts.statehash import key_owner, live_owner
-from repro.obs.core import current as _current_obs
+from repro.obs.core import NULL
 from repro.obs.memwatch import MemWatch
 from repro.obs.merge import worker_stream_name
+from repro.obs.sweep import SweepRecorder
 from repro.obs.tracer import Tracer
 
 #: initial expansion quantum, in states (the adaptive controller
@@ -246,6 +251,15 @@ class DistributedStats:
         return max(held) / mean if mean else 1.0
 
 
+#: the :class:`DistributedStats` fields every distributed ``sweep_end``
+#: carries besides the common ones
+_END_FIELDS = (
+    "transport", "spawn_s", "relayed_batches", "worker_deaths",
+    "redispatched_batches", "recovered", "worker_succ_s", "worker_expand_s",
+    "coord_handle_s", "coord_idle_s", "ring_put_s", "ring_get_s",
+)
+
+
 def _owner(state: Hashable, n: int) -> int:
     """The worker owning ``state`` (stable within one run).
 
@@ -339,73 +353,19 @@ def _worker_obs(trace_dir, wid, clock_origin):
     return tracer, MemWatch(tracer=tracer)
 
 
-def _expand_batch(system, batch, visited, collect, decode=None, timer=None):
-    """Owner-side work of the inline backend: dedup ``batch``, expand
-    new states.
-
-    ``batch`` holds packed keys when ``decode`` is given, states
-    otherwise. Returns ``(new_successor_states, n_transitions,
-    n_deadlocks, collected_transitions)``; successors (and collected
-    endpoints) are packed through ``encode`` by the caller's
-    partitioning step, not here. When ``timer`` (a one-element list) is
-    given, seconds spent generating successors accumulate into
-    ``timer[0]`` — the instrumented path's succ-vs-dedup split.
-    """
-    out_states = []
-    n_trans = 0
-    n_dead = 0
-    collected = []
-    succ = getattr(system, "successors_fast", None) or system.successors
-    if timer is not None:
-        raw = succ
-        clock = time.perf_counter
-
-        def succ(state):  # noqa: F811 - timing wrapper
-            t = clock()
-            out = list(raw(state))
-            timer[0] += clock() - t
-            return out
-
-    for item in batch:
-        if item in visited:
-            continue
-        visited.add(item)
-        state = item if decode is None else decode(item)
-        # the TransitionSystem protocol only promises an Iterable, so
-        # materialize before measuring (generator-based systems)
-        succs = list(succ(state))
-        n_trans += len(succs)
-        if not succs:
-            n_dead += 1
-        for label, nxt in succs:
-            out_states.append(nxt)
-            if collect:
-                collected.append((item, label, nxt))
-    return out_states, n_trans, n_dead, collected
-
-
-def _partition(states, n_workers, encode=None):
-    """Bucket ``states`` by owner, packing through ``encode`` if given."""
-    buckets: list[list] = [[] for _ in range(n_workers)]
-    if encode is None:
-        for s in states:
-            buckets[_owner(s, n_workers)].append(s)
-    else:
-        for s in states:
-            k = encode(s)
-            buckets[_owner(k, n_workers)].append(k)
-    return buckets
-
-
 def _inline_sweep(system, n_workers, collect, max_states, stats, codec,
-                  obs=None):
-    """The partitioned algorithm run sequentially (test backend).
+                  rec):
+    """The partitioned algorithm run sequentially in-process.
 
     Bulk-synchronous by construction: each iteration of the outer loop
     is one BFS level, which keeps the backend deterministic and its
-    ``levels`` statistic exact.
+    ``levels`` statistic exact. Within a level each owner dedups its
+    batch (packed keys when there is a codec) against its own visited
+    set and expands the new states. ``rec`` is the sweep's
+    :class:`~repro.obs.sweep.SweepRecorder` (one wave event per level).
     """
-    recording = obs is not None and obs.enabled
+    succ = getattr(system, "successors_fast", None) or system.successors
+    succ = rec.timed(succ)
     decode = codec.decode if codec else None
     encode = codec.encode if codec else None
     visited: list[set] = [set() for _ in range(n_workers)]
@@ -417,47 +377,51 @@ def _inline_sweep(system, n_workers, collect, max_states, stats, codec,
     n_dead = 0
     levels = 0
     while frontier:
-        wave_t0 = time.perf_counter()
-        timer = [0.0] if recording else None
-        batches = _partition(frontier, n_workers, encode)
+        batches: list[list] = [[] for _ in range(n_workers)]
+        for s in frontier:
+            key = s if encode is None else encode(s)
+            batches[_owner(key, n_workers)].append(key)
         frontier = []
         for w in range(n_workers):
-            new_states, t, d, coll = _expand_batch(
-                system, batches[w], visited[w], collect, decode, timer=timer
-            )
-            n_trans += t
-            n_dead += d
-            if collect and encode is not None:
-                coll = [(src, lab, encode(dd)) for src, lab, dd in coll]
-            transitions.extend(coll)
-            frontier.extend(new_states)
+            seen = visited[w]
+            for item in batches[w]:
+                if item in seen:
+                    continue
+                seen.add(item)
+                state = item if decode is None else decode(item)
+                # the TransitionSystem protocol only promises an
+                # Iterable, so materialize before measuring
+                # (generator-based systems)
+                succs = list(succ(state))
+                n_trans += len(succs)
+                if not succs:
+                    n_dead += 1
+                for label, nxt in succs:
+                    frontier.append(nxt)
+                    if collect:
+                        transitions.append((
+                            item, label,
+                            nxt if encode is None else encode(nxt),
+                        ))
         levels += 1
         total = sum(len(v) for v in visited)
-        if recording:
-            wave_s = time.perf_counter() - wave_t0
-            succ_s = timer[0]
-            obs.tracer.emit(
-                "wave", depth=levels, states=total, frontier=len(frontier),
-                wave_s=round(wave_s, 6), succ_s=round(succ_s, 6),
-                dedup_s=round(max(wave_s - succ_s, 0.0), 6),
+        if rec.enabled:
+            rec.wave(
+                levels, total, len(frontier), n_trans,
+                sum(sys.getsizeof(v) for v in visited),
             )
-            obs.progress.maybe(states=total, frontier=len(frontier),
-                               depth=levels)
         if max_states is not None and total > max_states:
-            # an aborted sweep still reports how far it got
-            stats.states = total
-            stats.transitions = n_trans
-            stats.deadlocks = n_dead
-            stats.per_worker_states = [len(v) for v in visited]
-            stats.levels = levels
-            raise ExplorationLimitError(
-                f"state limit {max_states} exceeded", stats=stats
-            )
+            break
     stats.states = sum(len(v) for v in visited)
     stats.transitions = n_trans
     stats.deadlocks = n_dead
     stats.per_worker_states = [len(v) for v in visited]
     stats.levels = levels
+    if max_states is not None and stats.states > max_states:
+        # an aborted sweep still reports how far it got
+        raise ExplorationLimitError(
+            f"state limit {max_states} exceeded", stats=stats
+        )
     return transitions, init_item
 
 
@@ -1244,6 +1208,20 @@ def _shm_sweep(
     return transitions, init_item
 
 
+class _Collected:
+    """Collected transitions as a system :func:`explore` can number."""
+
+    def __init__(self, init, adj):
+        self._init = init
+        self._adj = adj
+
+    def initial_state(self):
+        return self._init
+
+    def successors(self, state):
+        return self._adj.get(state, ())
+
+
 def distributed_explore(
     system: TransitionSystem,
     *,
@@ -1373,66 +1351,37 @@ def distributed_explore(
         system.codec() if getattr(system, "codec", None) is not None
         else None
     )
-    if obs is None:
-        obs = _current_obs()
-    recording = obs.enabled
+    rec = SweepRecorder(
+        f"distributed-{backend}",
+        # the process backend's reduction counters live in its workers
+        system if backend == "inline" else None,
+        obs,
+        n_workers=n_workers, packed=codec is not None,
+        transport="shm" if backend == "process" else "local",
+        batch_size=batch_size or _BATCH, max_states=max_states,
+    )
+    obs = rec.obs
     if trace_dir is None:
         trace_dir = getattr(obs, "trace_dir", None)
-    if trace_dir is not None and recording and backend == "process":
+    if trace_dir is not None and rec.enabled and backend == "process":
         os.makedirs(trace_dir, exist_ok=True)
-    if recording:
-        obs.tracer.emit(
-            "sweep_start", backend=f"distributed-{backend}",
-            n_workers=n_workers, packed=codec is not None,
-            transport="shm" if backend == "process" else "local",
-            batch_size=batch_size or _BATCH, max_states=max_states,
-        )
-        if faults is not None:
-            for wid, n in sorted(faults.kill.items()):
-                obs.tracer.emit("fault_plan", worker=wid, kind="kill", arg=n)
-            for wid, n in sorted(faults.raise_in.items()):
-                obs.tracer.emit("fault_plan", worker=wid, kind="raise", arg=n)
-            for wid, d in sorted(faults.delay.items()):
-                obs.tracer.emit("fault_plan", worker=wid, kind="delay", arg=d)
+    if rec.enabled and faults is not None:
+        for kind, plan in (("kill", faults.kill), ("raise", faults.raise_in),
+                           ("delay", faults.delay)):
+            for wid, arg in sorted(plan.items()):
+                obs.tracer.emit("fault_plan", worker=wid, kind=kind, arg=arg)
 
     def _emit_end(outcome: str) -> None:
-        obs.memwatch.sample(force=True)
-        obs.tracer.emit(
-            "sweep_end", backend=f"distributed-{backend}", outcome=outcome,
-            states=stats.states, transitions=stats.transitions,
-            seconds=round(stats.seconds, 6),
-            states_per_second=round(
-                stats.states / stats.seconds if stats.seconds > 0 else 0.0, 1
-            ),
-            transport=stats.transport,
-            spawn_s=stats.spawn_s,
-            relayed_batches=stats.relayed_batches,
-            worker_deaths=stats.worker_deaths,
-            redispatched_batches=stats.redispatched_batches,
-            recovered=stats.recovered,
-            worker_succ_s=stats.worker_succ_s,
-            worker_expand_s=stats.worker_expand_s,
-            coord_handle_s=stats.coord_handle_s,
-            coord_idle_s=stats.coord_idle_s,
-            ring_put_s=stats.ring_put_s,
-            ring_get_s=stats.ring_get_s,
-            max_rss_bytes=obs.memwatch.max_rss_bytes,
-            mem_pressure_events=obs.memwatch.pressure_events,
-        )
+        rec.end(outcome, stats, **{f: getattr(stats, f) for f in _END_FIELDS})
+        if not rec.enabled:
+            return
         m = obs.metrics
-        m.counter("repro_sweeps_total", backend=f"distributed-{backend}",
-                  outcome=outcome).inc()
-        m.counter("repro_sweep_states_total").inc(stats.states)
-        m.counter("repro_sweep_transitions_total").inc(stats.transitions)
         m.counter("repro_dist_worker_deaths_total").inc(stats.worker_deaths)
         m.counter("repro_dist_redispatched_batches_total").inc(
             stats.redispatched_batches
         )
         m.gauge("repro_dist_recovered").set(int(stats.recovered))
         m.gauge("repro_dist_workers").set(n_workers)
-        m.gauge("repro_sweep_seconds", backend=f"distributed-{backend}").set(
-            round(stats.seconds, 6)
-        )
         for w, batches in enumerate(stats.per_worker_batches):
             m.counter("repro_dist_worker_batches_total", worker=w).inc(batches)
         for w, n_states in enumerate(stats.per_worker_states):
@@ -1443,8 +1392,7 @@ def distributed_explore(
     try:
         if backend == "inline":
             transitions, init_item = _inline_sweep(
-                system, n_workers, collect, max_states, stats, codec,
-                obs=obs,
+                system, n_workers, collect, max_states, stats, codec, rec
             )
         else:
             stats.transport = "shm"
@@ -1460,36 +1408,20 @@ def distributed_explore(
         stats.seconds = time.perf_counter() - t0
         if exc.stats is None:
             exc.stats = stats
-        if recording:
-            _emit_end(
-                "limit" if isinstance(exc, ExplorationLimitError)
-                else "worker_failure"
-            )
+        _emit_end(
+            "limit" if isinstance(exc, ExplorationLimitError)
+            else "worker_failure"
+        )
         raise
     stats.seconds = time.perf_counter() - t0
-    if recording:
-        _emit_end("ok")
+    _emit_end("ok")
 
     if not collect:
         return None, stats
-    # assemble an explicit LTS; BFS renumbering for a canonical result
-    index: dict[Hashable, int] = {init_item: 0}
+    # number the collected transitions the way every explorer does: BFS
+    # from the initial key, by the serial reference (un-instrumented —
+    # the renumbering is not a sweep of its own)
     adj: dict[Hashable, list[tuple[str, Hashable]]] = {}
     for s, label, d in transitions:
         adj.setdefault(s, []).append((label, d))
-    lts = LTS(initial=0)
-    lts.ensure_states(1)
-    frontier = [init_item]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for label, d in adj.get(s, []):
-                di = index.get(d)
-                if di is None:
-                    di = len(index)
-                    index[d] = di
-                    lts.ensure_states(di + 1)
-                    nxt.append(d)
-                lts.add_transition(index[s], label, di)
-        frontier = nxt
-    return lts, stats
+    return explore(_Collected(init_item, adj), obs=NULL), stats

@@ -32,12 +32,12 @@ import gc
 import sys
 import time
 from array import array
-from typing import Callable, Hashable
+from typing import Hashable
 
 from repro.errors import ExplorationLimitError
 from repro.lts.explore import ExplorationStats, TransitionSystem
 from repro.lts.lts import LTS
-from repro.obs.core import current as _current_obs
+from repro.obs.sweep import SweepRecorder
 
 
 def _codec_for(system):
@@ -51,7 +51,6 @@ def explore_fast(
     max_states: int | None = None,
     max_depth: int | None = None,
     keep_states: bool = False,
-    on_level: Callable[[int, int], None] | None = None,
     stats: ExplorationStats | None = None,
     packed: bool = False,
     certificate=None,
@@ -87,16 +86,6 @@ def explore_fast(
         from repro.lts.certreduce import ReducedSystem
 
         system = ReducedSystem(system, certificate)
-    if obs is None:
-        obs = _current_obs()
-    recording = obs.enabled
-    # reduction counters are cumulative on the (possibly reused)
-    # wrapper, so metrics report this sweep's delta
-    red0 = (
-        (system.canonical_hits, system.ample_prunes, system.slice_hits)
-        if hasattr(system, "canonical_hits")
-        else None
-    )
     if stats is None:
         # every exit path (incl. the limit error, which carries this
         # object on .stats) then reports complete timing
@@ -110,19 +99,6 @@ def explore_fast(
         encode = codec.encode
 
     succ = getattr(system, "successors_fast", None) or system.successors
-    succ_seconds = [0.0]
-    if recording:
-        # successor generation on its own clock, so waves can split
-        # succ time from dedup/bookkeeping time (enabled runs only)
-        timed_succ = succ
-        acc = succ_seconds
-
-        def succ(state):  # noqa: F811 - instrumented wrapper
-            t = time.perf_counter()
-            out = timed_succ(state)
-            acc[0] += time.perf_counter() - t
-            return out
-
     init = system.initial_state()
     index: dict = {init if encode is None else encode(init): 0}
     n = 1
@@ -147,60 +123,30 @@ def explore_fast(
     level_sizes = [1]
     max_frontier = 1
 
-    def _finish_stats():
+    rec = SweepRecorder(
+        "engine-packed" if encode is not None else "engine", system, obs,
+        max_states=max_states, max_depth=max_depth, packed=encode is not None,
+    )
+    recording = rec.enabled
+    succ = rec.timed(succ)
+
+    def _finish(outcome: str) -> None:
         stats.states = n
         stats.transitions = len(src)
         stats.max_frontier = max_frontier
         stats.seconds = time.perf_counter() - t0
         stats.depth = depth
         stats.level_sizes = level_sizes
-
-    def _emit_end(outcome: str) -> None:
-        backend = "engine-packed" if encode is not None else "engine"
-        reduction = (
-            {
-                "canonical_hits": system.canonical_hits - red0[0],
-                "ample_prunes": system.ample_prunes - red0[1],
-                "slice_hits": system.slice_hits - red0[2],
-            }
-            if red0 is not None
-            else None
+        rec.end(
+            outcome, stats, visited_bytes=sys.getsizeof(index),
+            depth=depth, max_frontier=max_frontier,
         )
-        obs.memwatch.note("visited_index", sys.getsizeof(index))
-        obs.memwatch.sample(force=True)
-        obs.tracer.emit(
-            "sweep_end", backend=backend, outcome=outcome,
-            states=stats.states, transitions=stats.transitions,
-            seconds=round(stats.seconds, 6),
-            states_per_second=round(stats.states_per_second(), 1),
-            depth=stats.depth, max_frontier=stats.max_frontier,
-            reduction=reduction,
-            max_rss_bytes=obs.memwatch.max_rss_bytes,
-            mem_pressure_events=obs.memwatch.pressure_events,
-        )
-        m = obs.metrics
-        m.counter("repro_sweeps_total", backend=backend, outcome=outcome).inc()
-        m.counter("repro_sweep_states_total").inc(stats.states)
-        m.counter("repro_sweep_transitions_total").inc(stats.transitions)
-        m.gauge("repro_sweep_seconds", backend=backend).set(
-            round(stats.seconds, 6)
-        )
-        m.gauge("repro_sweep_states_per_second", backend=backend).set(
-            round(stats.states_per_second(), 1)
-        )
-        if red0 is not None:
-            m.counter("repro_reduce_canonical_hits_total").inc(
-                system.canonical_hits - red0[0]
+        if rec.enabled:
+            # visited-probe hits: probes that found an already-numbered
+            # state (every transition probes once; discoveries miss)
+            rec.obs.metrics.counter("repro_visited_probe_hits_total").inc(
+                len(src) - n
             )
-            m.counter("repro_reduce_ample_prunes_total").inc(
-                system.ample_prunes - red0[1]
-            )
-            m.counter("repro_reduce_slice_hits_total").inc(
-                system.slice_hits - red0[2]
-            )
-        # visited-probe hits: probes that found an already-numbered
-        # state (every transition probes once; discoveries miss)
-        m.counter("repro_visited_probe_hits_total").inc(len(src) - n)
 
     def _partial_lts() -> LTS:
         out = LTS.from_columns(
@@ -210,13 +156,7 @@ def explore_fast(
         return out
 
     if recording:
-        obs.tracer.emit(
-            "sweep_start",
-            backend="engine-packed" if encode is not None else "engine",
-            max_states=max_states, max_depth=max_depth,
-            packed=encode is not None,
-        )
-        obs.tracer.emit("gc_suspend")
+        rec.obs.tracer.emit("gc_suspend")
     # nearly every allocation of the sweep stays alive in the visited
     # index, so generational GC passes rescan an ever-growing live set
     # for nothing — suspend collection for the duration
@@ -229,9 +169,6 @@ def explore_fast(
         while frontier:
             if max_depth is not None and depth >= max_depth:
                 break
-            wave_t0 = time.perf_counter()
-            wave_succ0 = succ_seconds[0]
-            wave_trans0 = len(src)
             next_frontier: list[tuple[int, Hashable]] = []
             nf_append = next_frontier.append
             if tight:
@@ -270,9 +207,7 @@ def explore_fast(
                             max_frontier = max(
                                 max_frontier, len(next_frontier)
                             )
-                            _finish_stats()
-                            if recording:
-                                _emit_end("limit")
+                            _finish("limit")
                             raise ExplorationLimitError(
                                 f"state limit {max_states} exceeded "
                                 f"at depth {depth}",
@@ -286,33 +221,17 @@ def explore_fast(
                 if len(frontier) > max_frontier:
                     max_frontier = len(frontier)
             if recording:
-                wave_s = time.perf_counter() - wave_t0
-                succ_s = succ_seconds[0] - wave_succ0
-                obs.tracer.emit(
-                    "wave", depth=depth, states=n, frontier=len(frontier),
-                    transitions=len(src) - wave_trans0,
-                    wave_s=round(wave_s, 6), succ_s=round(succ_s, 6),
-                    dedup_s=round(max(wave_s - succ_s, 0.0), 6),
+                rec.wave(
+                    depth, n, len(frontier), len(src), sys.getsizeof(index)
                 )
-                obs.memwatch.note("visited_index", sys.getsizeof(index))
-                obs.memwatch.sample()
-                elapsed = time.perf_counter() - t0
-                obs.progress.maybe(
-                    states=n, sps=n / elapsed if elapsed > 0 else 0.0,
-                    frontier=len(frontier), depth=depth,
-                )
-            if on_level is not None:
-                on_level(depth, n)
     finally:
         if gc_was_enabled:
             gc.enable()
         if recording:
-            obs.tracer.emit(
+            rec.obs.tracer.emit(
                 "gc_resume",
                 suspended_s=round(time.perf_counter() - gc_t0, 6),
             )
 
-    _finish_stats()
-    if recording:
-        _emit_end("ok")
+    _finish("ok")
     return _partial_lts()

@@ -14,11 +14,11 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Protocol, runtime_checkable
+from typing import Hashable, Iterable, Protocol, runtime_checkable
 
 from repro.errors import ExplorationLimitError
 from repro.lts.lts import LTS
-from repro.obs.core import current as _current_obs
+from repro.obs.sweep import SweepRecorder
 
 
 @runtime_checkable
@@ -63,7 +63,6 @@ def explore(
     max_states: int | None = None,
     max_depth: int | None = None,
     keep_states: bool = False,
-    on_level: Callable[[int, int], None] | None = None,
     stats: ExplorationStats | None = None,
     certificate=None,
     obs=None,
@@ -85,8 +84,6 @@ def explore(
     keep_states:
         When true, store each model state in ``lts.state_meta`` so traces
         can be decoded back into protocol configurations.
-    on_level:
-        Callback ``(depth, states_so_far)`` invoked per completed level.
     stats:
         Optional stats object to fill in. A fresh one is created when
         omitted so every exit path — including the limit error, which
@@ -111,16 +108,6 @@ def explore(
         from repro.lts.certreduce import ReducedSystem
 
         system = ReducedSystem(system, certificate)
-    if obs is None:
-        obs = _current_obs()
-    recording = obs.enabled
-    # reduction counters are cumulative on the (possibly reused)
-    # wrapper, so metrics report this sweep's delta
-    red0 = (
-        (system.canonical_hits, system.ample_prunes, system.slice_hits)
-        if hasattr(system, "canonical_hits")
-        else None
-    )
     if stats is None:
         stats = ExplorationStats()
     t0 = time.perf_counter()
@@ -135,83 +122,27 @@ def explore(
     depth = 0
     level_sizes = [1]
     max_frontier = 1
-    succ = system.successors
     add_transition = lts.add_transition
+    rec = SweepRecorder(
+        "serial", system, obs, max_states=max_states, max_depth=max_depth
+    )
+    succ = rec.timed(system.successors)
 
-    succ_seconds = [0.0]
-    if recording:
-        obs.tracer.emit(
-            "sweep_start", backend="serial",
-            max_states=max_states, max_depth=max_depth,
-        )
-        # charge successor generation (including generator consumption)
-        # to its own clock so waves can split succ time from dedup time
-        raw_succ = succ
-        acc = succ_seconds
-
-        def succ(state):  # noqa: F811 - instrumented wrapper
-            t = time.perf_counter()
-            out = list(raw_succ(state))
-            acc[0] += time.perf_counter() - t
-            return out
-
-    def _finish_stats() -> None:
+    def _finish(outcome: str) -> None:
         stats.states = len(index)
         stats.transitions = lts.n_transitions
         stats.max_frontier = max_frontier
         stats.seconds = time.perf_counter() - t0
         stats.depth = depth
         stats.level_sizes = level_sizes
-
-    def _emit_end(outcome: str) -> None:
-        reduction = (
-            {
-                "canonical_hits": system.canonical_hits - red0[0],
-                "ample_prunes": system.ample_prunes - red0[1],
-                "slice_hits": system.slice_hits - red0[2],
-            }
-            if red0 is not None
-            else None
+        rec.end(
+            outcome, stats, visited_bytes=sys.getsizeof(index),
+            depth=depth, max_frontier=max_frontier,
         )
-        obs.memwatch.note("visited_index", sys.getsizeof(index))
-        obs.memwatch.sample(force=True)
-        obs.tracer.emit(
-            "sweep_end", backend="serial", outcome=outcome,
-            states=stats.states, transitions=stats.transitions,
-            seconds=round(stats.seconds, 6),
-            states_per_second=round(stats.states_per_second(), 1),
-            depth=stats.depth, max_frontier=stats.max_frontier,
-            reduction=reduction,
-            max_rss_bytes=obs.memwatch.max_rss_bytes,
-            mem_pressure_events=obs.memwatch.pressure_events,
-        )
-        m = obs.metrics
-        m.counter("repro_sweeps_total", backend="serial",
-                  outcome=outcome).inc()
-        m.counter("repro_sweep_states_total").inc(stats.states)
-        m.counter("repro_sweep_transitions_total").inc(stats.transitions)
-        m.gauge("repro_sweep_seconds", backend="serial").set(
-            round(stats.seconds, 6)
-        )
-        m.gauge("repro_sweep_states_per_second", backend="serial").set(
-            round(stats.states_per_second(), 1)
-        )
-        if red0 is not None:
-            m.counter("repro_reduce_canonical_hits_total").inc(
-                system.canonical_hits - red0[0]
-            )
-            m.counter("repro_reduce_ample_prunes_total").inc(
-                system.ample_prunes - red0[1]
-            )
-            m.counter("repro_reduce_slice_hits_total").inc(
-                system.slice_hits - red0[2]
-            )
 
     while frontier:
         if max_depth is not None and depth >= max_depth:
             break
-        wave_t0 = time.perf_counter()
-        wave_succ0 = succ_seconds[0]
         next_frontier: list[Hashable] = []
         for state in frontier:
             sidx = index[state]
@@ -227,9 +158,7 @@ def explore(
                     if max_states is not None and len(index) > max_states:
                         add_transition(sidx, label, didx)
                         max_frontier = max(max_frontier, len(next_frontier))
-                        _finish_stats()
-                        if recording:
-                            _emit_end("limit")
+                        _finish("limit")
                         raise ExplorationLimitError(
                             f"state limit {max_states} exceeded at depth {depth}",
                             partial=lts,
@@ -241,29 +170,13 @@ def explore(
         if frontier:
             level_sizes.append(len(frontier))
         max_frontier = max(max_frontier, len(frontier))
-        if recording:
-            wave_s = time.perf_counter() - wave_t0
-            succ_s = succ_seconds[0] - wave_succ0
-            obs.tracer.emit(
-                "wave", depth=depth, states=len(index),
-                frontier=len(frontier), wave_s=round(wave_s, 6),
-                succ_s=round(succ_s, 6),
-                dedup_s=round(max(wave_s - succ_s, 0.0), 6),
+        if rec.enabled:
+            rec.wave(
+                depth, len(index), len(frontier), lts.n_transitions,
+                sys.getsizeof(index),
             )
-            obs.memwatch.note("visited_index", sys.getsizeof(index))
-            obs.memwatch.sample()
-            elapsed = time.perf_counter() - t0
-            obs.progress.maybe(
-                states=len(index),
-                sps=len(index) / elapsed if elapsed > 0 else 0.0,
-                frontier=len(frontier), depth=depth,
-            )
-        if on_level is not None:
-            on_level(depth, len(index))
 
-    _finish_stats()
-    if recording:
-        _emit_end("ok")
+    _finish("ok")
     return lts
 
 

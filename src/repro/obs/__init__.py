@@ -1,6 +1,6 @@
 """Flight recorder: structured tracing, metrics, and live progress.
 
-The observability layer of the package. Three cooperating pieces:
+The observability layer of the package, in cooperating pieces:
 
 * :mod:`repro.obs.metrics` — a get-or-create registry of counters,
   gauges and histograms with JSON and Prometheus text exposition;
@@ -13,7 +13,9 @@ The observability layer of the package. Three cooperating pieces:
   ``mem_pressure`` events;
 * :mod:`repro.obs.merge` — merging per-process trace streams (one per
   distributed worker, clock-aligned via the spawn handshake) into one
-  causal timeline.
+  causal timeline;
+* :mod:`repro.obs.sweep` — the sweep lifecycle (start, depth waves,
+  end, sweep metrics) every explorer reports through.
 
 They travel together as an :class:`Instrumentation` bundle. The
 ambient default (:data:`NULL`) is fully disabled and costs one

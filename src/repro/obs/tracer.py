@@ -5,7 +5,7 @@ exploration or check — sweep start/end, BFS depth waves, distributed
 batch dispatch/ack, worker deaths, fixpoint iterations — is one JSON
 object per line with a monotonic timestamp::
 
-    {"t": 0.000132, "ev": "sweep_start", "backend": "engine", ...}
+    {"t": 1.204113, "ev": "check", "requirement": "1", "holds": true, ...}
 
 ``t`` is seconds since the tracer was created (``time.perf_counter``
 based, so it never goes backwards and is immune to wall-clock jumps);

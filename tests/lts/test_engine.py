@@ -85,13 +85,6 @@ def test_max_depth():
     _assert_identical(Grid(10, 10), max_depth=3)
 
 
-def test_on_level_callback():
-    ref_levels, fast_levels = [], []
-    explore(Grid(5, 5), on_level=lambda d, n: ref_levels.append((d, n)))
-    explore_fast(Grid(5, 5), on_level=lambda d, n: fast_levels.append((d, n)))
-    assert fast_levels == ref_levels
-
-
 def test_limit_semantics_match_reference():
     st_ref, st_fast = ExplorationStats(), ExplorationStats()
     with pytest.raises(ExplorationLimitError) as ref_exc:

@@ -80,13 +80,6 @@ def test_stats():
     assert st.states_per_second() >= 0
 
 
-def test_on_level_callback():
-    seen = []
-    explore(Grid(3, 3), on_level=lambda d, n: seen.append((d, n)))
-    assert seen[0][0] == 1
-    assert seen[-1][1] == 9
-
-
 def test_breadth_first_states_order(chain_system):
     states = list(breadth_first_states(chain_system))
     assert states[0] == 0

@@ -13,6 +13,7 @@ from repro import obs
 from repro.errors import ExplorationLimitError
 from repro.jackal.params import CONFIG_1, ProtocolVariant
 from repro.jackal.requirements import build_model, check_requirement_1
+from repro.lts.distributed import distributed_explore
 from repro.lts.engine import explore_fast
 from repro.lts.explore import ExplorationStats, explore
 from repro.mucalc.checker import holds
@@ -103,8 +104,26 @@ def test_limit_error_carries_complete_stats(model, explorer):
     assert st.states_per_second() > 0
 
 
-@pytest.mark.parametrize("explorer", [explore, explore_fast])
-def test_limit_event_emitted(model, explorer):
+def _distributed(backend):
+    def run(system, **kw):
+        return distributed_explore(
+            system, n_workers=2, backend=backend, **kw
+        )
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "explorer, backend",
+    [
+        (explore, "serial"),
+        (explore_fast, "engine"),
+        (_distributed("inline"), "distributed-inline"),
+        (_distributed("process"), "distributed-process"),
+    ],
+    ids=["explore", "explore_fast", "distributed-inline", "distributed-process"],
+)
+def test_limit_event_emitted(model, explorer, backend):
     inst = _bundle()
     with pytest.raises(ExplorationLimitError):
         explorer(model, max_states=50, obs=inst)
@@ -112,6 +131,9 @@ def test_limit_event_emitted(model, explorer):
     assert end["outcome"] == "limit"
     assert end["states"] >= 50
     assert end["seconds"] > 0
+    snap = inst.metrics.snapshot()
+    assert snap[f"repro_sweeps_total{{backend={backend},outcome=limit}}"] == 1
+    assert snap["repro_sweep_states_total"] == end["states"]
 
 
 def test_passed_stats_object_still_filled(model):

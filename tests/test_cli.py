@@ -600,3 +600,46 @@ def test_bench_max_rss_gate_cli(tmp_path, capsys):
     for name in ("serial", "engine"):
         assert report["backends"][name]["max_rss_bytes"] > 0
         assert report["backends"][name]["mem"]["watermarks"]
+
+
+def test_explore_distributed_aut_conflict_exits_before_sweeping(
+    tmp_path, monkeypatch, capsys
+):
+    import repro.lts.distributed as distributed
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the distributed sweep ran before --aut was refused")
+
+    monkeypatch.setattr(distributed, "distributed_explore", no_sweep)
+    aut = tmp_path / "x.aut"
+    code = main([
+        "explore", "--config", "1", "--rounds", "1", "--distributed",
+        "--aut", str(aut),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--aut" in captured.err
+    assert "distributed sweep" not in captured.out
+    assert not aut.exists()
+
+
+def test_explore_distributed_default_workers_follow_cpu_affinity(
+    monkeypatch, capsys
+):
+    import os
+
+    # one usable CPU on a many-CPU host: the default pool must be 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    code = main([
+        "explore", "--config", "1", "--rounds", "1", "--distributed",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in out.splitlines() if line.startswith("|")
+    ]
+    header, row = rows[0], rows[1]
+    assert int(row[header.index("workers")]) == 1
