@@ -35,26 +35,14 @@ def test_serial_generation(benchmark):
 
 
 @pytest.mark.benchmark(group="generation")
-def test_partitioned_generation_inline(benchmark):
-    _lts, stats = benchmark.pedantic(
-        lambda: distributed_explore(_model(), n_workers=4, backend="inline"),
-        rounds=3,
-        iterations=1,
-    )
-    exact = explore(_model())
-    assert stats.states == exact.n_states
-    assert stats.transitions == exact.n_transitions
-    assert stats.imbalance() < 1.5
-    print(f"\npartitioned(4, inline): imbalance {stats.imbalance():.3f}")
-
-
-@pytest.mark.benchmark(group="generation")
 def test_partitioned_generation_processes(once):
     _lts, stats = once(
         distributed_explore, _model(), n_workers=4, backend="process"
     )
     exact = explore(_model())
     assert stats.states == exact.n_states
+    assert stats.transitions == exact.n_transitions
+    assert stats.imbalance() < 1.5
     print(
         "\npartitioned(4, process): "
         f"{stats.states} states, {stats.levels} BFS levels, "

@@ -27,9 +27,8 @@ class ExplorationLimitError(ReproError):
     ----------
     partial:
         The partially generated artifact — :func:`repro.lts.explore.explore`
-        attaches the partial LTS, :func:`repro.lts.explore.breadth_first_states`
-        the set of states discovered so far (may be ``None`` when nothing
-        useful was produced before the limit hit).
+        attaches the partial LTS (may be ``None`` when nothing useful was
+        produced before the limit hit).
     stats:
         The partially filled stats object of the aborted sweep
         (``ExplorationStats`` or ``DistributedStats``; ``None`` when the

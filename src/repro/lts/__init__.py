@@ -12,7 +12,6 @@ from repro.lts.lts import LTS, Transition
 from repro.lts.explore import (
     TransitionSystem,
     explore,
-    breadth_first_states,
     ExplorationStats,
 )
 from repro.lts.engine import explore_fast
@@ -41,7 +40,6 @@ __all__ = [
     "TransitionSystem",
     "explore",
     "explore_fast",
-    "breadth_first_states",
     "ExplorationStats",
     "mix64",
     "state_key64",

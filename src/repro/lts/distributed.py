@@ -7,46 +7,35 @@ its partition, keeps a local visited set for them, and forwards newly
 discovered states to their owners.
 
 This module reproduces that architecture at laptop scale with
-``multiprocessing`` workers (one OS process per cluster node). Two
-backends are provided:
+``multiprocessing`` workers (one OS process per cluster node) in a
+**pipelined** schedule over the shared-memory ring data plane. Each
+ordered worker pair owns a single-producer single-consumer ring buffer
+in :mod:`multiprocessing.shared_memory` (:mod:`repro.lts.shmring`);
+workers write successor blocks straight into the ring of each
+successor's owner, gather adaptive wall-clock-targeted quanta out of
+their inbound rings, and the coordinator is off the steady-state path
+entirely — it carries only control traffic (per-quantum
+acknowledgements with the counts and the recovery ledger, relays for
+blocks a full ring rejected, membership changes, termination).
+Termination is a double-scan balance check over the ring counters plus
+the ack and inject ledgers. There is no per-level barrier: a fast
+partition keeps expanding while a slow one catches up.
 
-``"process"``
-    Real worker processes in a **pipelined** schedule over the
-    shared-memory ring data plane. Each ordered worker pair owns a
-    single-producer single-consumer ring buffer in
-    :mod:`multiprocessing.shared_memory` (:mod:`repro.lts.shmring`);
-    workers write successor blocks straight into the ring of each
-    successor's owner, gather adaptive wall-clock-targeted quanta out
-    of their inbound rings, and the coordinator is off the steady-state
-    path entirely — it carries only control traffic (per-quantum
-    acknowledgements with the counts and the recovery ledger, relays
-    for blocks a full ring rejected, membership changes, termination).
-    Termination is a double-scan balance check over the ring counters
-    plus the ack and inject ledgers. There is no per-level barrier: a
-    fast partition keeps expanding while a slow one catches up.
+Every system runs over the rings; only the key format differs
+(:class:`~repro.lts.shmring.KeyFormat`, chosen once per sweep). A
+system with a :meth:`codec` (as :class:`~repro.jackal.model.JackalModel`
+has) ships fixed-width packed codec keys — a ~20-byte integer per state
+instead of a pickled tuple tree, with the encode/decode cost carried by
+the workers, in parallel. A system without one ships its states
+themselves as pickled lists and is deduplicated by state equality.
+Workers are forked: they inherit the rings and the parent's hash seed,
+which ownership of string-bearing states depends on, so the sweep needs
+the ``fork`` start method; elsewhere the in-process sweep is
+:func:`repro.lts.engine.explore_fast`. Like the engine, the sweep is
+tested against the serial reference :func:`repro.lts.explore.explore`
+(equal counts, and an equal LTS when collected).
 
-    Every system runs over the rings; only the key format differs
-    (:class:`~repro.lts.shmring.KeyFormat`, chosen once per sweep). A
-    system with a :meth:`codec` (as
-    :class:`~repro.jackal.model.JackalModel` has) ships fixed-width
-    packed codec keys — a ~20-byte integer per state instead of a
-    pickled tuple tree, with the encode/decode cost carried by the
-    workers, in parallel. A system without one ships its states
-    themselves as pickled lists and is deduplicated by state equality.
-    Workers are forked: they inherit the rings and the parent's hash
-    seed, which ownership of string-bearing states depends on, so this
-    backend needs the ``fork`` start method.
-
-``"inline"``
-    The same partitioned algorithm run sequentially in-process in the
-    classical bulk-synchronous level order (deterministic, and the
-    backend for platforms without ``fork``).
-
-Both backends, like the engine, are tested against the serial
-reference :func:`repro.lts.explore.explore` (equal counts, and an equal
-LTS when collected).
-
-The ``"process"`` coordinator is **fault tolerant**: eight-node-cluster
+The coordinator is **fault tolerant**: eight-node-cluster
 sweeps die with their weakest node, so worker loss is treated as an
 expected event, not a hang. The control-queue wait is a timed poll
 backed by worker ``exitcode`` checks (a dead worker is detected within
@@ -93,6 +82,7 @@ import os
 import sys
 import time
 from collections import deque
+from itertools import repeat
 from dataclasses import dataclass, field
 from queue import Empty
 from typing import Hashable
@@ -111,7 +101,7 @@ from repro.lts.statehash import key_owner, live_owner
 from repro.obs.core import NULL
 from repro.obs.memwatch import MemWatch
 from repro.obs.merge import worker_stream_name
-from repro.obs.sweep import SweepRecorder
+from repro.obs.sweep import SweepRecorder, reduction_counts
 from repro.obs.tracer import Tracer
 
 #: initial expansion quantum, in states (the adaptive controller
@@ -166,17 +156,16 @@ class DistributedStats:
         worker this is the size its visited set had reached when it
         died (the count carried by its last acknowledged quantum).
     per_worker_batches:
-        Expansion quanta each worker acknowledged (pipelined backend
-        only); measures scheduling balance as opposed to storage
-        balance.
+        Expansion quanta each worker acknowledged; measures scheduling
+        balance as opposed to storage balance.
     levels:
-        Bulk-synchronous backend: BFS levels processed. Pipelined
-        backend: the maximum routing depth, an upper bound on the BFS
-        depth.
+        The maximum routing depth + 1. Pipelined routing may reach a
+        state along a longer path first, so this bounds the number of
+        BFS levels from above and varies from run to run.
     batches:
-        Total expansion quanta acknowledged (pipelined backend only).
+        Total expansion quanta acknowledged.
     worker_deaths:
-        Worker processes that died mid-sweep (pipelined backend only).
+        Worker processes that died mid-sweep.
     redispatched_batches:
         Key blocks whose expansion was lost to a crash — unacknowledged
         injects of, or unconsumed ring records addressed to, a dead
@@ -188,12 +177,13 @@ class DistributedStats:
         Wall-clock duration, worker spawn excluded (see ``spawn_s``).
     spawn_s:
         Seconds from starting the worker processes to the last worker's
-        hello message (``"process"`` backend). Reported separately so
-        throughput comparisons against in-process backends measure the
-        sweep, not ``fork``+interpreter warm-up — the fixed cost that
-        used to doom small-config speedup numbers.
+        hello message. Reported separately so throughput comparisons
+        against in-process backends measure the sweep, not
+        ``fork``+interpreter warm-up — the fixed cost that used to doom
+        small-config speedup numbers.
     transport:
-        ``"shm"`` for the ``"process"`` backend, ``"local"`` otherwise.
+        Always ``"shm"``, the one data plane (kept for report schema
+        stability).
     relayed_batches:
         Successor blocks that could not be written to a ring (full, or
         the destination was dead) and fell back to a coordinator relay.
@@ -227,7 +217,7 @@ class DistributedStats:
     recovered: bool = False
     seconds: float = 0.0
     spawn_s: float = 0.0
-    transport: str = "local"
+    transport: str = "shm"
     relayed_batches: int = 0
     worker_succ_s: float = 0.0
     worker_expand_s: float = 0.0
@@ -258,18 +248,6 @@ _END_FIELDS = (
     "redispatched_batches", "recovered", "worker_succ_s", "worker_expand_s",
     "coord_handle_s", "coord_idle_s", "ring_put_s", "ring_get_s",
 )
-
-
-def _owner(state: Hashable, n: int) -> int:
-    """The worker owning ``state`` (stable within one run).
-
-    ``state`` may equally be a packed codec key. Delegates to
-    :func:`repro.lts.statehash.key_owner` — the single routing function
-    of the inline backend and the process coordinator, which the ring
-    workers inline — so ownership never depends on the code path that
-    routed the key.
-    """
-    return key_owner(state, n)
 
 
 def _same(key):
@@ -353,78 +331,6 @@ def _worker_obs(trace_dir, wid, clock_origin):
     return tracer, MemWatch(tracer=tracer)
 
 
-def _inline_sweep(system, n_workers, collect, max_states, stats, codec,
-                  rec):
-    """The partitioned algorithm run sequentially in-process.
-
-    Bulk-synchronous by construction: each iteration of the outer loop
-    is one BFS level, which keeps the backend deterministic and its
-    ``levels`` statistic exact. Within a level each owner dedups its
-    batch (packed keys when there is a codec) against its own visited
-    set and expands the new states. ``rec`` is the sweep's
-    :class:`~repro.obs.sweep.SweepRecorder` (one wave event per level).
-    """
-    succ = getattr(system, "successors_fast", None) or system.successors
-    succ = rec.timed(succ)
-    decode = codec.decode if codec else None
-    encode = codec.encode if codec else None
-    visited: list[set] = [set() for _ in range(n_workers)]
-    init = system.initial_state()
-    init_item = init if encode is None else encode(init)
-    frontier = [init]
-    transitions = []
-    n_trans = 0
-    n_dead = 0
-    levels = 0
-    while frontier:
-        batches: list[list] = [[] for _ in range(n_workers)]
-        for s in frontier:
-            key = s if encode is None else encode(s)
-            batches[_owner(key, n_workers)].append(key)
-        frontier = []
-        for w in range(n_workers):
-            seen = visited[w]
-            for item in batches[w]:
-                if item in seen:
-                    continue
-                seen.add(item)
-                state = item if decode is None else decode(item)
-                # the TransitionSystem protocol only promises an
-                # Iterable, so materialize before measuring
-                # (generator-based systems)
-                succs = list(succ(state))
-                n_trans += len(succs)
-                if not succs:
-                    n_dead += 1
-                for label, nxt in succs:
-                    frontier.append(nxt)
-                    if collect:
-                        transitions.append((
-                            item, label,
-                            nxt if encode is None else encode(nxt),
-                        ))
-        levels += 1
-        total = sum(len(v) for v in visited)
-        if rec.enabled:
-            rec.wave(
-                levels, total, len(frontier), n_trans,
-                sum(sys.getsizeof(v) for v in visited),
-            )
-        if max_states is not None and total > max_states:
-            break
-    stats.states = sum(len(v) for v in visited)
-    stats.transitions = n_trans
-    stats.deadlocks = n_dead
-    stats.per_worker_states = [len(v) for v in visited]
-    stats.levels = levels
-    if max_states is not None and stats.states > max_states:
-        # an aborted sweep still reports how far it got
-        raise ExplorationLimitError(
-            f"state limit {max_states} exceeded", stats=stats
-        )
-    return transitions, init_item
-
-
 def _shm_worker_main(
     system, n_workers, wid, ctrl_in, ctrl_out, rings_in, rings_out,
     collect, codec, fmt: KeyFormat, batch_size,
@@ -433,7 +339,7 @@ def _shm_worker_main(
     trace_dir=None,
     clock_origin: float = 0.0,
 ):
-    """Worker loop of the process backend.
+    """Worker loop of the partitioned sweep.
 
     The data plane is the ring matrix: ``rings_in[p]`` carries key
     blocks (in the sweep's ``fmt``) from producer ``p`` to this worker,
@@ -447,7 +353,11 @@ def _shm_worker_main(
     membership updates and ``None`` (stop); outbound ``("hello",
     wid)``, ``("relay", wid, dst, depth, payload)`` for blocks a ring
     would not take, ``("dead_ack", wid, w)``, one ``("ack", ...)`` per
-    expansion quantum and a final ``("bye", wid, n_visited)``.
+    expansion quantum and a final ``("bye", wid, n_visited,
+    reduction)``, where ``reduction`` is this worker's delta of the
+    system's reduction counters
+    (:func:`~repro.obs.sweep.reduction_counts`; ``None`` for a system
+    that does not reduce).
 
     Exactness contract: a quantum's states and transitions are counted
     *iff* its ack reaches the coordinator, and the ring read counters
@@ -502,6 +412,7 @@ def _shm_worker_main(
     answered = 0
     clock = time.perf_counter
     wtracer, wmem = _worker_obs(trace_dir, wid, clock_origin)
+    red0 = reduction_counts(system)
 
     def _ctrl(msg):
         nonlocal stop
@@ -527,43 +438,53 @@ def _shm_worker_main(
             if wtracer is not None:
                 wmem.close()
                 wtracer.close()
-            ctrl_out.put(("bye", wid, len(visited)))
+            red = None if red0 is None else [
+                after - before
+                for after, before in zip(reduction_counts(system), red0)
+            ]
+            ctrl_out.put(("bye", wid, len(visited), red))
             return
 
         # -- gather one quantum (rings round-robin, then injects) ----
+        # Every gathered key is queued as (depth, key, None): the state
+        # is decoded (or taken from the stash) when it is expanded.
         t_get = clock() if instrument else 0.0
         target = adapt.size
-        quantum = []  # (depth, keys) per transport record
+        work: deque = deque()
+        work_extend = work.extend
+        n_records = 0
+        max_d = 0     # routing depth: block depth of the gathered keys
         consumed = [0] * n_workers    # ring records taken, per producer
         consumed_b = [0] * n_workers  # ring bytes taken (pads included)
         inject_seqs = []
-        n_keys = 0
         progressed = True
-        while n_keys < target and progressed:
+        while len(work) < target and progressed:
             progressed = False
             for p in range(n_workers):
                 rec = rings_in[p].peek(cursors[p])
                 if rec is None:
                     continue
                 depth, payload, nxt = rec
-                keys = unpack(payload)
-                quantum.append((depth, keys))
+                work_extend(zip(repeat(depth), unpack(payload), repeat(None)))
+                if depth > max_d:
+                    max_d = depth
+                n_records += 1
                 consumed[p] += 1
                 consumed_b[p] += nxt - cursors[p]
                 cursors[p] = nxt
-                n_keys += len(keys)
                 progressed = True
-                if n_keys >= target:
+                if len(work) >= target:
                     break
-        while injects and n_keys < target:
+        while injects and len(work) < target:
             seq, depth, payload = injects.popleft()
-            keys = unpack(payload)
-            quantum.append((depth, keys))
+            work_extend(zip(repeat(depth), unpack(payload), repeat(None)))
+            if depth > max_d:
+                max_d = depth
+            n_records += 1
             inject_seqs.append(seq)
-            n_keys += len(keys)
         get_s = clock() - t_get if instrument else 0.0
 
-        if not quantum:
+        if not work:
             # starved: sleep on the control inbox (which is also where
             # membership changes and stop arrive) with growing backoff
             try:
@@ -577,7 +498,7 @@ def _shm_worker_main(
             # coordinator-side ack for the same seq will close
             wtracer.emit(
                 "ring_get", worker=wid, seq=answered,
-                records=len(quantum), keys=n_keys,
+                records=n_records, keys=len(work),
                 seconds=round(get_s, 6),
             )
 
@@ -595,21 +516,18 @@ def _shm_worker_main(
             succ = fault.raising_successors(wid)
 
         # -- expand --------------------------------------------------
-        # Two passes: first every ring/inject key taken above
-        # (mandatory — their records are acked as consumed), then
-        # *chased* self-owned successors. Chasing is the transport's
-        # biggest saving: a successor this worker owns is expanded in
-        # the same quantum with its already-built state in hand
-        # — no packing, no self-ring round trip, no decode — and
-        # still rides the quantum's ack (counted iff acked; its
-        # successors are flushed before the ack like any other).
-        # Chasing stops at twice the quantum target so flushes keep
-        # flowing to the other owners; leftovers spill to the
-        # self-ring exactly as before (with their decoded states
-        # stashed, so the spill costs no decode either). The expansion
-        # body is spelled out twice on purpose — an extra function
-        # call or per-key tuple here is a measurable slice of the
-        # per-state budget.
+        # One FIFO loop. The gathered ring/inject keys come first and
+        # are all mandatory (their records are acked as consumed).
+        # Behind them queue the *chased* self-owned successors:
+        # chasing is the transport's biggest saving — a successor this
+        # worker owns is expanded in the same quantum with its
+        # already-built state in hand (no packing, no self-ring round
+        # trip, no decode) and still rides the quantum's ack (counted
+        # iff acked; its successors are flushed before the ack like any
+        # other). Chasing stops at twice the quantum target so flushes
+        # keep flowing to the other owners; leftovers spill to the
+        # self-ring with their states stashed, so the spill costs no
+        # decode either.
         t0 = clock()
         succ_s = 0.0
         new_keys: list = []
@@ -617,85 +535,33 @@ def _shm_worker_main(
         collected = []
         n_trans = 0
         n_dead = 0
-        max_d = 0
+        chased = 0
         # per destination, per successor depth, the keys to ship
         # (packed into blocks at flush time)
         out: list[dict[int, list]] = [{} for _ in range(n_workers)]
         memo_get = ship_memo.get
-        chase: deque = deque()
-        chase_append = chase.append
-        chase_pop = chase.popleft
-        chase_cap = 2 * target
+        work_pop = work.popleft
+        work_append = work.append
+        cap = max(len(work), 2 * target)
+        n_keys = 0
         visited_add = visited.add
         shipped_add = shipped.add
-        for depth, keys in quantum:
-            if depth > max_d:
-                max_d = depth
-            d1 = depth + 1
-            for k in keys:
-                if k in visited:
-                    stash_pop(k, None)  # release a stale stash entry
-                    continue
-                visited_add(k)
-                new_keys_append(k)
+        while work and n_keys < cap:
+            n_keys += 1
+            depth, k, state = work_pop()
+            if k in visited:
+                stash_pop(k, None)  # release a stale stash entry
+                continue
+            visited_add(k)
+            new_keys_append(k)
+            if state is None:
                 state = stash_pop(k, None)
                 if state is None:
                     state = decode(k)
-                if instrument:
-                    ts = clock()
-                    succs = list(succ(state))
-                    succ_s += clock() - ts
-                else:
-                    succs = succ(state)
-                    if type(succs) is not list:
-                        succs = list(succs)
-                n_trans += len(succs)
-                if not succs:
-                    n_dead += 1
-                for label, nxt in succs:
-                    rec = memo_get(nxt)
-                    if rec is None:
-                        nk = encode(nxt)
-                        if single:
-                            q = wid
-                        else:
-                            # inlined key_owner(nk, n_workers) — the
-                            # splitmix64 finaliser written out to skip
-                            # a function call per first-seen successor;
-                            # asserted equal in tests so routing stays
-                            # path-independent
-                            h = hash(nk) & _M64
-                            h = ((h ^ (h >> 30))
-                                 * 0xBF58476D1CE4E5B9) & _M64
-                            h = ((h ^ (h >> 27))
-                                 * 0x94D049BB133111EB) & _M64
-                            q = (h ^ (h >> 31)) % n_workers
-                        rec = ship_memo[nxt] = (q, nk)
-                    else:
-                        q, nk = rec
-                    if collect:
-                        collected.append((k, label, nk))
-                    if nk in shipped or nk in visited:
-                        continue  # provably a duplicate at the consumer
-                    shipped_add(nk)
-                    if q == wid:
-                        chase_append((d1, nk, nxt))  # expand locally
-                        continue
-                    ob = out[q]
-                    blk = ob.get(d1)
-                    if blk is None:
-                        blk = ob[d1] = []
-                    blk.append(nk)
-        n_before_chase = len(new_keys)
-        while chase and n_keys < chase_cap:
-            depth, k, state = chase_pop()
-            n_keys += 1
-            if k in visited:
-                continue  # shipped to us meanwhile, expanded above
-            visited_add(k)
-            new_keys_append(k)
-            if depth > max_d:
-                max_d = depth
+            else:
+                chased += 1
+                if depth > max_d:
+                    max_d = depth  # routing depth of an expanded chase
             d1 = depth + 1
             if instrument:
                 ts = clock()
@@ -715,6 +581,11 @@ def _shm_worker_main(
                     if single:
                         q = wid
                     else:
+                        # inlined key_owner(nk, n_workers) — the
+                        # splitmix64 finaliser written out to skip a
+                        # function call per first-seen successor;
+                        # asserted equal in tests so routing stays
+                        # path-independent
                         h = hash(nk) & _M64
                         h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _M64
                         h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _M64
@@ -725,10 +596,10 @@ def _shm_worker_main(
                 if collect:
                     collected.append((k, label, nk))
                 if nk in shipped or nk in visited:
-                    continue
+                    continue  # provably a duplicate at the consumer
                 shipped_add(nk)
                 if q == wid:
-                    chase_append((d1, nk, nxt))
+                    work_append((d1, nk, nxt))  # chase: expand locally
                     continue
                 ob = out[q]
                 blk = ob.get(d1)
@@ -737,7 +608,7 @@ def _shm_worker_main(
                 blk.append(nk)
         # chase leftovers beyond the cap: spill to the self-ring
         ob = out[wid]
-        for d1, nk, nxt in chase:
+        for d1, nk, nxt in work:
             if nk in visited:
                 continue
             stash[nk] = nxt
@@ -750,11 +621,9 @@ def _shm_worker_main(
             ship_memo.clear()
         if len(shipped) > _SHIP_CACHE_MAX:
             shipped.clear()
-        if wtracer is not None and len(new_keys) > n_before_chase:
-            wtracer.emit(
-                "local_chase", worker=wid, seq=answered,
-                chased=len(new_keys) - n_before_chase,
-            )
+        if wtracer is not None and chased:
+            wtracer.emit("local_chase", worker=wid, seq=answered,
+                         chased=chased)
 
         # -- flush successor blocks straight to their owners ---------
         t1 = clock() if instrument else 0.0
@@ -811,7 +680,7 @@ def _shm_worker_main(
 
 
 def _shm_sweep(
-    system, n_workers, collect, max_states, stats, codec,
+    system, n_workers, collect, max_states, stats, codec, worker_reductions,
     faults: FaultPlan | None = None,
     poll: float = _POLL,
     batch_size: int = _BATCH,
@@ -819,8 +688,7 @@ def _shm_sweep(
     obs=None,
     trace_dir=None,
 ):
-    """The pipelined sweep of the process backend, over the
-    shared-memory rings.
+    """The pipelined sweep over the shared-memory rings.
 
     Data flows owner-to-owner through the ``n_workers``-squared ring
     matrix (see :mod:`repro.lts.shmring`); the coordinator handles only
@@ -848,6 +716,11 @@ def _shm_sweep(
     might still be writing) the coordinator drains those rings, filters
     the dead worker's acked keys out, and re-injects the rest to the
     rendezvous survivors.
+
+    The reduction-counter deltas the workers report on their ``bye``
+    messages are appended to ``worker_reductions`` (when the system
+    reduces). A worker that died sends no ``bye``, so its counts
+    are missing there.
     """
     recording = obs is not None and obs.enabled
     tracer = obs.tracer if recording else None
@@ -1144,7 +1017,7 @@ def _shm_sweep(
         stats.spawn_s = round(time.perf_counter() - t_spawn0, 6)
         # seed: the initial state is the one coordinator-routed data
         # block of a crash-free sweep
-        _route_block(_owner(init_item, n_workers), 0, fmt.pack([init_item]))
+        _route_block(key_owner(init_item, n_workers), 0, fmt.pack([init_item]))
         while not limit_hit:
             if _quiescent():
                 break
@@ -1187,8 +1060,10 @@ def _shm_sweep(
                         awaiting.discard(w)  # died during shutdown
                 continue
             if msg[0] == "bye":
-                sizes[msg[1]] = msg[2]
-                awaiting.discard(msg[1])
+                _tag, wid, sizes[wid], red = msg
+                awaiting.discard(wid)
+                if red is not None:
+                    worker_reductions.append(red)
             # residual acks/relays of an aborted sweep are dropped
         for p in workers:
             p.join(timeout=5)
@@ -1238,7 +1113,7 @@ def distributed_explore(
     obs=None,
     trace_dir: str | None = None,
 ) -> tuple[LTS | None, DistributedStats]:
-    """Partitioned sweep of ``system`` (pipelined when ``"process"``).
+    """Pipelined partitioned sweep of ``system`` over worker processes.
 
     Parameters
     ----------
@@ -1250,10 +1125,10 @@ def distributed_explore(
     n_workers:
         Number of partitions (cluster nodes in the paper's setting).
     backend:
-        ``"process"`` for pipelined worker processes over the
-        shared-memory rings (needs the ``fork`` start method),
-        ``"inline"`` for the deterministic bulk-synchronous in-process
-        rendition.
+        Accepted for compatibility: ``"process"`` (pipelined worker
+        processes over the shared-memory rings, which need the ``fork``
+        start method) is the only backend. ``"inline"`` (the removed
+        in-process rendition) raises :class:`ValueError`.
     collect:
         When true, transitions are shipped back and an explicit
         :class:`LTS` is assembled (only sensible for small systems); the
@@ -1264,14 +1139,13 @@ def distributed_explore(
         partially filled stats on its ``stats`` attribute.
     faults:
         Optional :class:`~repro.lts.faults.FaultPlan` injected into the
-        workers (``"process"`` backend only) — the test harness for the
-        crash-recovery path.
+        workers — the test harness for the crash-recovery path.
     poll_interval:
         Upper bound, in seconds, on how long the coordinator blocks
-        before re-checking worker liveness (``"process"`` backend).
+        before re-checking worker liveness.
     batch_size:
-        Initial expansion quantum in states (``"process"`` backend;
-        default 256); the adaptive controller resizes later quanta.
+        Initial expansion quantum in states (default 256); the adaptive
+        controller resizes later quanta.
     transport:
         Accepted for compatibility and selects nothing: ``None``,
         ``"auto"`` and ``"shm"`` all mean the shared-memory rings, the
@@ -1279,7 +1153,7 @@ def distributed_explore(
         transport) raises :class:`ValueError`.
     ring_bytes:
         Data capacity of each shm ring (one per ordered worker pair;
-        default 1 MiB). Blocks that do not fit fall back to
+        default 1 MiB, at least 64). Blocks that do not fit fall back to
         coordinator relays (``stats.relayed_batches``), so undersizing
         costs throughput, never correctness.
     certificate:
@@ -1296,9 +1170,12 @@ def distributed_explore(
         events (acks, worker deaths, re-dispatches, coordinator
         samples), workers time their quanta for the per-phase
         breakdown, and recovery counters land in the metrics registry.
+        The ``sweep_end`` reduction counts of a reduced sweep are the
+        workers' own, reported when they stop; a worker that died
+        mid-sweep never reports, so its counts are missing.
     trace_dir:
-        Directory for per-worker trace streams (``"process"`` backend,
-        recording sweeps only; created if missing). Each worker writes
+        Directory for per-worker trace streams (recording sweeps only;
+        created if missing). Each worker writes
         its own ``trace.worker<N>.jsonl`` — quantum pickups, local
         chases, ring flushes and worker-side acks, all stamped with the
         ``(worker, seq)`` correlation id — opened with a clock
@@ -1326,7 +1203,13 @@ def distributed_explore(
         system = ReducedSystem(system, certificate)
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    if backend not in ("process", "inline"):
+    if backend == "inline":
+        raise ValueError(
+            "the inline backend was removed: every partitioned sweep runs "
+            "in worker processes (backend='process'); explore_fast is the "
+            "in-process sweep"
+        )
+    if backend != "process":
         raise ValueError(f"unknown backend {backend!r}")
     if transport == "queue":
         raise ValueError(
@@ -1335,35 +1218,32 @@ def distributed_explore(
         )
     if transport not in (None, "auto", "shm"):
         raise ValueError(f"unknown transport {transport!r}")
-    if backend == "process" and "fork" not in mp.get_all_start_methods():
+    if "fork" not in mp.get_all_start_methods():
         raise ValueError(
-            "backend='process' needs the 'fork' start method (workers "
+            "the partitioned sweep needs the 'fork' start method (workers "
             "inherit the shared-memory rings and the parent's hash "
-            "seed); use backend='inline' on this platform"
+            "seed); use repro.lts.engine.explore_fast for an in-process "
+            "sweep on this platform"
         )
-    if faults is not None and backend != "process":
-        raise ValueError("fault injection requires the 'process' backend")
     if poll_interval <= 0:
         raise ValueError("poll_interval must be positive")
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if ring_bytes < 64:
+        raise ValueError("ring_bytes must be >= 64")
     codec = (
         system.codec() if getattr(system, "codec", None) is not None
         else None
     )
     rec = SweepRecorder(
-        f"distributed-{backend}",
-        # the process backend's reduction counters live in its workers
-        system if backend == "inline" else None,
-        obs,
-        n_workers=n_workers, packed=codec is not None,
-        transport="shm" if backend == "process" else "local",
+        "distributed-process", system, obs,
+        n_workers=n_workers, packed=codec is not None, transport="shm",
         batch_size=batch_size or _BATCH, max_states=max_states,
     )
     obs = rec.obs
     if trace_dir is None:
         trace_dir = getattr(obs, "trace_dir", None)
-    if trace_dir is not None and rec.enabled and backend == "process":
+    if trace_dir is not None and rec.enabled:
         os.makedirs(trace_dir, exist_ok=True)
     if rec.enabled and faults is not None:
         for kind, plan in (("kill", faults.kill), ("raise", faults.raise_in),
@@ -1372,7 +1252,10 @@ def distributed_explore(
                 obs.tracer.emit("fault_plan", worker=wid, kind=kind, arg=arg)
 
     def _emit_end(outcome: str) -> None:
-        rec.end(outcome, stats, **{f: getattr(stats, f) for f in _END_FIELDS})
+        rec.end(
+            outcome, stats, remote_reduction=worker_reductions,
+            **{f: getattr(stats, f) for f in _END_FIELDS},
+        )
         if not rec.enabled:
             return
         m = obs.metrics
@@ -1388,21 +1271,18 @@ def distributed_explore(
             m.gauge("repro_dist_worker_states", worker=w).set(n_states)
 
     stats = DistributedStats()
+    #: the workers' reduction-counter deltas, one list per clean stop
+    worker_reductions: list[list[int]] = []
     t0 = time.perf_counter()
     try:
-        if backend == "inline":
-            transitions, init_item = _inline_sweep(
-                system, n_workers, collect, max_states, stats, codec, rec
-            )
-        else:
-            stats.transport = "shm"
-            transitions, init_item = _shm_sweep(
-                system, n_workers, collect, max_states, stats, codec,
-                faults=faults, poll=poll_interval,
-                batch_size=batch_size or _BATCH,
-                ring_bytes=ring_bytes,
-                obs=obs, trace_dir=trace_dir,
-            )
+        transitions, init_item = _shm_sweep(
+            system, n_workers, collect, max_states, stats, codec,
+            worker_reductions,
+            faults=faults, poll=poll_interval,
+            batch_size=batch_size or _BATCH,
+            ring_bytes=ring_bytes,
+            obs=obs, trace_dir=trace_dir,
+        )
     except (ExplorationLimitError, WorkerFailureError) as exc:
         # an aborted sweep still reports how far it got and how long it ran
         stats.seconds = time.perf_counter() - t0

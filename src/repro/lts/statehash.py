@@ -52,10 +52,10 @@ def key_owner(key: Hashable, n: int) -> int:
     """The worker in ``range(n)`` owning ``key`` (stable within a run).
 
     ``key`` is typically a packed codec integer, but any hashable works
-    (the states of a system without a codec). The inline backend, the
-    process coordinator and — inlined — the ring workers all route
-    through this single function, so a key's owner never depends on the
-    code path that routed it: the built-in hash is avalanche-mixed by
+    (the states of a system without a codec). The distributed
+    coordinator and — inlined — the ring workers both route through
+    this single function, so a key's owner never depends on the code
+    path that routed it: the built-in hash is avalanche-mixed by
     :func:`mix64` before the modulo, because raw hashes of packed keys
     (plain ints) and of small-int tuples carry low-bit structure that
     ``% n`` would fold into skewed partitions.

@@ -1,6 +1,6 @@
 """The sweep lifecycle every explorer reports through.
 
-The serial reference, the engine and both distributed backends keep
+The serial reference, the engine and the distributed sweep keep
 their own inner loops; the flight-recorder frame around those loops is
 :class:`SweepRecorder` — the ``sweep_start`` / ``wave`` / ``sweep_end``
 events, the ``repro_sweep*`` and ``repro_reduce_*`` metrics, the
@@ -21,6 +21,16 @@ from repro.obs.core import current
 _REDUCTION_COUNTERS = ("canonical_hits", "ample_prunes", "slice_hits")
 
 
+def reduction_counts(system) -> list[int] | None:
+    """The cumulative reduction counters of ``system``, in a fixed
+    order, or ``None`` for a system that does not reduce. A sweep that
+    runs in other processes takes its deltas there and hands them to
+    :meth:`SweepRecorder.end`."""
+    if not hasattr(system, _REDUCTION_COUNTERS[0]):
+        return None
+    return [getattr(system, c) for c in _REDUCTION_COUNTERS]
+
+
 class SweepRecorder:
     """One sweep's flight-recorder frame.
 
@@ -39,19 +49,13 @@ class SweepRecorder:
         self.enabled = self.obs.enabled
         self.backend = backend
         self.succ_s = 0.0  # seconds inside :meth:`timed` successors
-        has_counters = hasattr(system, _REDUCTION_COUNTERS[0])
-        self._system = system if has_counters else None
-        self._red0 = self._counts()
+        self._system = system
+        self._red0 = reduction_counts(system)
         self._transitions = 0
         self._wave_succ0 = 0.0
         self._t0 = self._wave_t0 = time.perf_counter()
         if self.enabled:
             self.obs.tracer.emit("sweep_start", backend=backend, **start_fields)
-
-    def _counts(self):
-        if self._system is None:
-            return None
-        return [getattr(self._system, c) for c in _REDUCTION_COUNTERS]
 
     def timed(self, succ):
         """``succ`` on the successor clock (``succ`` itself when not
@@ -100,11 +104,14 @@ class SweepRecorder:
         self._wave_t0 = time.perf_counter()
 
     def end(self, outcome: str, stats, visited_bytes: int | None = None,
-            **fields) -> None:
+            remote_reduction=(), **fields) -> None:
         """``sweep_end`` plus the sweep metrics (no-op when not recording).
 
         ``stats`` supplies ``states``, ``transitions`` and ``seconds``;
         ``fields`` are the backend's own ``sweep_end`` fields.
+        ``remote_reduction`` holds reduction-counter deltas taken in
+        other processes (one :func:`reduction_counts`-ordered list per
+        distributed worker); they are added to this process's own.
         """
         if not self.enabled:
             return
@@ -113,11 +120,13 @@ class SweepRecorder:
         if visited_bytes is not None:
             memwatch.note("visited_index", visited_bytes)
         memwatch.sample(force=True)
-        red1 = self._counts()
-        reduction = None if red1 is None else {
-            name: after - before
-            for name, after, before in zip(_REDUCTION_COUNTERS, red1, self._red0)
-        }
+        red1 = reduction_counts(self._system)
+        reduction = None
+        if red1 is not None:
+            deltas = [after - before for after, before in zip(red1, self._red0)]
+            for remote in remote_reduction:
+                deltas = [d + r for d, r in zip(deltas, remote)]
+            reduction = dict(zip(_REDUCTION_COUNTERS, deltas))
         seconds = round(stats.seconds, 6)
         sps = round(
             stats.states / stats.seconds if stats.seconds > 0 else 0.0, 1

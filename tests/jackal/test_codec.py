@@ -13,7 +13,7 @@ from repro.errors import ExplorationLimitError
 from repro.jackal import Config, JackalModel, ProtocolVariant
 from repro.jackal.codec import StateCodec, codec_for
 from repro.jackal.model import VIOLATION
-from repro.lts.explore import breadth_first_states
+from repro.lts.explore import explore
 
 CONFIGS = [
     (Config(threads_per_processor=(1, 1), rounds=1, with_probes=False),
@@ -33,10 +33,12 @@ CONFIGS = [
 
 def _sample_states(model, cap=4000):
     try:
-        return list(breadth_first_states(model, max_states=cap))
-    except ExplorationLimitError:
-        # enough states sampled; the generator raises at the cap
-        return list(breadth_first_states(model, max_states=None))[:cap]
+        lts = explore(model, max_states=cap, keep_states=True)
+    except ExplorationLimitError as exc:
+        # enough states sampled: the partial LTS holds the first ones
+        # in BFS order
+        lts = exc.partial
+    return list(lts.state_meta.values())[:cap]
 
 
 @pytest.mark.parametrize("cfg,variant", CONFIGS)

@@ -143,10 +143,9 @@ def test_writes_per_round_uses_local_path():
     cfg = dataclasses.replace(CONFIG_1, writes_per_round=2, with_probes=False)
     m = JackalModel(cfg, ProtocolVariant.fixed())
     # a second write to a still-dirty region goes through Phase.LOCAL
-    from repro.lts.explore import breadth_first_states
-
+    states = explore(m, max_states=100_000, keep_states=True).state_meta
     assert any(
         any(th[0] == Phase.LOCAL for th in state[0])
-        for state in breadth_first_states(m, max_states=100_000)
+        for state in states.values()
         if state != VIOLATION
     )

@@ -230,3 +230,28 @@ def test_reduced_system_pickles_without_revalidation(monkeypatch):
     assert clone.canonical and clone.ample
     state = clone.initial_state()
     assert list(clone.successors(state)) == list(red.successors(state))
+
+
+# -- the distributed sweep reports its workers' counters ---------------------
+
+
+@pytest.mark.slow
+def test_distributed_sweep_end_carries_worker_reduction_counts():
+    # the counters advance in the forked workers, which ship their
+    # deltas home on their bye messages: summed, a crash-free sweep
+    # reports exactly what the in-process engine counts
+    from repro.obs import Instrumentation, Tracer
+
+    config = replace(CONFIG_1, rounds=2)
+    system = ReducedSystem(_model(config), _cert(config))
+
+    def sweep_end_reduction(sweep, **kw):
+        inst = Instrumentation(tracer=Tracer(ring=100_000))
+        sweep(system, obs=inst, **kw)
+        ends = [e for e in inst.tracer.events() if e["ev"] == "sweep_end"]
+        return ends[-1]["reduction"]
+
+    engine = sweep_end_reduction(explore_fast)
+    dist = sweep_end_reduction(distributed_explore, n_workers=2)
+    assert engine["canonical_hits"] > 0
+    assert dist == engine

@@ -24,57 +24,6 @@ class Diamond:
         return [("l", (level + 1, pos)), ("r", (level + 1, pos + 1))]
 
 
-def test_inline_counts_match_serial():
-    sys = Diamond(6)
-    exact = explore(sys)
-    _lts, stats = distributed_explore(sys, n_workers=3, backend="inline")
-    assert stats.states == exact.n_states
-    assert stats.transitions == exact.n_transitions
-    assert stats.deadlocks == len(exact.deadlock_states())
-    assert sum(stats.per_worker_states) == stats.states
-    assert stats.levels >= 6
-
-
-def test_inline_collect_builds_equivalent_lts():
-    sys = Diamond(5)
-    exact = explore(sys)
-    lts, _stats = distributed_explore(
-        sys, n_workers=4, backend="inline", collect=True
-    )
-    # BFS renumbering may differ; compare modulo strong bisimulation
-    assert lts.n_states == exact.n_states
-    assert lts.n_transitions == exact.n_transitions
-    assert minimize_strong(lts) == minimize_strong(exact)
-
-
-def test_single_worker_inline(chain_system):
-    lts, stats = distributed_explore(
-        chain_system, n_workers=1, backend="inline", collect=True
-    )
-    assert stats.states == 4
-    assert stats.imbalance() == 1.0
-
-
-def test_inline_max_states():
-    with pytest.raises(ExplorationLimitError):
-        distributed_explore(
-            Diamond(60), n_workers=2, backend="inline", max_states=100
-        )
-
-
-def test_inline_limit_fills_stats_and_attaches():
-    with pytest.raises(ExplorationLimitError) as ei:
-        distributed_explore(
-            Diamond(60), n_workers=2, backend="inline", max_states=100
-        )
-    stats = ei.value.stats
-    assert stats is not None
-    assert stats.states > 100
-    assert stats.seconds > 0.0
-    assert stats.levels > 0
-    assert sum(stats.per_worker_states) == stats.states
-
-
 @pytest.mark.slow
 def test_process_limit_fills_stats_and_attaches():
     with pytest.raises(ExplorationLimitError) as ei:
@@ -99,15 +48,6 @@ class GeneratorDiamond(Diamond):
 
     def successors(self, s):
         yield from Diamond.successors(self, s)
-
-
-def test_generator_successors_inline_backend():
-    sys_ = GeneratorDiamond(6)
-    exact = explore(sys_)
-    _lts, stats = distributed_explore(sys_, n_workers=3, backend="inline")
-    assert stats.states == exact.n_states
-    assert stats.transitions == exact.n_transitions
-    assert stats.deadlocks == len(exact.deadlock_states())
 
 
 @pytest.mark.slow
@@ -140,17 +80,19 @@ class Grid:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", ["diamond", "grid", "chain"])
+@pytest.mark.parametrize("name", ["diamond", "grid", "chain", "chain-solo"])
 def test_process_backend_equals_explore_on_codecless_fixtures(
     name, chain_system
 ):
-    sys_ = {
-        "diamond": Diamond(9), "grid": Grid(7, 5), "chain": chain_system,
+    sys_, n_workers = {
+        "diamond": (Diamond(9), 2), "grid": (Grid(7, 5), 2),
+        "chain": (chain_system, 2), "chain-solo": (chain_system, 1),
     }[name]
     lts, stats = distributed_explore(
-        sys_, n_workers=2, backend="process", collect=True
+        sys_, n_workers=n_workers, backend="process", collect=True
     )
     assert stats.transport == "shm"
+    assert sum(stats.per_worker_states) == stats.states
     exact = explore(sys_)
     assert (stats.states, stats.transitions, stats.deadlocks) == (
         exact.n_states, exact.n_transitions, len(exact.deadlock_states())
@@ -163,6 +105,9 @@ def test_bad_arguments(chain_system):
         distributed_explore(chain_system, n_workers=0)
     with pytest.raises(ValueError):
         distributed_explore(chain_system, backend="carrier-pigeon")
+    # the in-process rendition is gone, and says so
+    with pytest.raises(ValueError, match="removed"):
+        distributed_explore(chain_system, backend="inline")
 
 
 @pytest.mark.slow
@@ -218,41 +163,24 @@ def test_owner_mixing_improves_imbalance():
     spread the same keys almost evenly.
     """
     from repro.jackal import Config, JackalModel
-    from repro.lts.distributed import _owner
-    from repro.lts.explore import breadth_first_states
+    from repro.lts.statehash import key_owner
 
     model = JackalModel(
         Config(threads_per_processor=(1, 1), rounds=1, with_probes=False)
     )
     codec = model.codec()
-    keys = [codec.encode(s) for s in breadth_first_states(model)]
+    states = explore(model, keep_states=True).state_meta.values()
+    keys = [codec.encode(s) for s in states]
 
     def raw_owner(k, n):
         return hash(k) % n
 
     for n in (2, 4):
         raw = _partition_imbalance(keys, n, raw_owner)
-        mixed = _partition_imbalance(keys, n, _owner)
+        mixed = _partition_imbalance(keys, n, key_owner)
         assert mixed < raw  # the mixer strictly improves the partition
         assert mixed < 1.25
         assert raw > 1.5  # raw hashing really is pathological here
-
-
-@pytest.mark.parametrize(
-    "tpp,rounds",
-    [((1, 1), 1), ((2,), 1), ((1, 1), 2)],
-)
-def test_inline_backend_matches_serial_on_jackal(tpp, rounds):
-    from repro.jackal import Config, JackalModel
-
-    model = JackalModel(
-        Config(threads_per_processor=tpp, rounds=rounds, with_probes=False)
-    )
-    exact = explore(model)
-    _lts, stats = distributed_explore(model, n_workers=3, backend="inline")
-    assert stats.states == exact.n_states
-    assert stats.transitions == exact.n_transitions
-    assert stats.deadlocks == len(exact.deadlock_states())
 
 
 class _NoCodec:
@@ -270,16 +198,29 @@ class _NoCodec:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("packed", [True, False])
-def test_process_backend_matches_serial_on_jackal(packed):
+@pytest.mark.parametrize(
+    "packed,tpp,rounds,n_workers",
+    [
+        pytest.param(True, (1, 1), 1, 2, id="True"),
+        pytest.param(False, (1, 1), 1, 2, id="False"),
+        pytest.param(True, (1, 1), 1, 3, id="tpp11-1"),
+        pytest.param(True, (2,), 1, 3, id="tpp2-1"),
+        pytest.param(True, (1, 1), 2, 3, id="tpp11-2"),
+    ],
+)
+def test_process_backend_matches_serial_on_jackal(
+    packed, tpp, rounds, n_workers
+):
     from repro.jackal import Config, JackalModel
 
     model = JackalModel(
-        Config(threads_per_processor=(1, 1), rounds=1, with_probes=False)
+        Config(threads_per_processor=tpp, rounds=rounds, with_probes=False)
     )
     exact = explore(model)
     _lts, stats = distributed_explore(
-        model if packed else _NoCodec(model), n_workers=2, backend="process"
+        model if packed else _NoCodec(model),
+        n_workers=n_workers,
+        backend="process",
     )
     assert stats.transport == "shm"
     assert stats.states == exact.n_states
@@ -293,7 +234,7 @@ def test_packed_auto_detection(chain_system):
 
     # systems without a codec ship their states themselves
     _lts, stats = distributed_explore(
-        chain_system, n_workers=2, backend="inline"
+        chain_system, n_workers=2, backend="process"
     )
     assert stats.states == 4
     # Jackal models pick up their codec automatically
@@ -301,7 +242,7 @@ def test_packed_auto_detection(chain_system):
         Config(threads_per_processor=(2,), rounds=1, with_probes=False)
     )
     lts, _stats = distributed_explore(
-        model, n_workers=2, backend="inline", collect=True
+        model, n_workers=2, backend="process", collect=True
     )
     exact = explore(model)
     assert lts.n_states == exact.n_states

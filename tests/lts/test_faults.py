@@ -16,6 +16,7 @@ from repro.lts.distributed import distributed_explore
 from repro.lts.explore import explore
 from repro.lts.faults import FaultPlan, WorkerFault
 from repro.lts.reduction import minimize_strong
+from repro.obs import Instrumentation, Tracer
 
 
 class Diamond:
@@ -64,18 +65,16 @@ def test_fault_plan_parse_rejects_garbage(bad):
         FaultPlan.parse(bad)
 
 
-def test_faults_require_process_backend():
-    with pytest.raises(ValueError):
-        distributed_explore(
-            Diamond(4), backend="inline", faults=FaultPlan.parse("kill:0@0")
-        )
-
-
 def test_bad_poll_and_batch_arguments():
     with pytest.raises(ValueError):
-        distributed_explore(Diamond(4), backend="inline", poll_interval=0.0)
+        distributed_explore(Diamond(4), poll_interval=0.0)
     with pytest.raises(ValueError):
-        distributed_explore(Diamond(4), backend="inline", batch_size=0)
+        distributed_explore(Diamond(4), batch_size=0)
+    # refused before the sweep starts: no sweep_start without a sweep_end
+    inst = Instrumentation(tracer=Tracer(ring=1000))
+    with pytest.raises(ValueError, match="ring_bytes"):
+        distributed_explore(Diamond(4), ring_bytes=32, obs=inst)
+    assert inst.tracer.events() == []
 
 
 # -- the compact acknowledged-key ledger ------------------------------------

@@ -360,17 +360,13 @@ def test_transport_validation():
     assert stats.states == explore(Diamond(3)).n_states
 
 
-def test_process_backend_without_fork_names_inline(monkeypatch):
+def test_process_backend_without_fork_names_explore_fast(monkeypatch):
     monkeypatch.setattr(
         multiprocessing, "get_all_start_methods", lambda: ["spawn"]
     )
-    with pytest.raises(ValueError, match="backend='inline'"):
+    # the in-process sweep needs no worker processes at all
+    with pytest.raises(ValueError, match="explore_fast"):
         distributed_explore(Diamond(3), n_workers=2, backend="process")
-    # the inline backend needs no worker processes at all
-    _lts, stats = distributed_explore(
-        Diamond(3), n_workers=2, backend="inline"
-    )
-    assert stats.states == explore(Diamond(3)).n_states
 
 
 # -- systems without a codec -------------------------------------------------

@@ -42,21 +42,6 @@ def _events(inst, ev):
     return [e for e in inst.tracer.events() if e["ev"] == ev]
 
 
-def test_inline_sweep_trace():
-    inst = _bundle()
-    _lts, stats = distributed_explore(
-        Diamond(8), n_workers=2, backend="inline", obs=inst
-    )
-    start = _events(inst, "sweep_start")[0]
-    assert start["backend"] == "distributed-inline"
-    assert start["n_workers"] == 2
-    end = _events(inst, "sweep_end")[0]
-    assert end["outcome"] == "ok"
-    assert end["states"] == stats.states
-    assert end["seconds"] > 0
-    assert _events(inst, "wave")
-
-
 @pytest.mark.slow
 def test_kill_recovery_recorded_end_to_end():
     sys_ = Diamond(24)

@@ -118,10 +118,9 @@ def _distributed(backend):
     [
         (explore, "serial"),
         (explore_fast, "engine"),
-        (_distributed("inline"), "distributed-inline"),
         (_distributed("process"), "distributed-process"),
     ],
-    ids=["explore", "explore_fast", "distributed-inline", "distributed-process"],
+    ids=["explore", "explore_fast", "distributed-process"],
 )
 def test_limit_event_emitted(model, explorer, backend):
     inst = _bundle()

@@ -74,7 +74,7 @@ def test_generation_strategies_agree():
     cfg = dataclasses.replace(CONFIG_1, with_probes=False)
     model = JackalModel(cfg, ProtocolVariant.fixed())
     exact = explore(model)
-    _l, dstats = distributed_explore(model, n_workers=3, backend="inline")
+    _l, dstats = distributed_explore(model, n_workers=3, backend="process")
     assert dstats.states == exact.n_states
     assert dstats.transitions == exact.n_transitions
     bres = bitstate_explore(model, table_bytes=1 << 18)
