@@ -11,18 +11,25 @@ The checker works in three stages:
    state. Fixpoints whose variable occurs exactly once, directly under a
    single-step modality, are solved by linear-time worklist algorithms
    (reverse reachability for diamonds, the counting algorithm for
-   boxes); everything else falls back to Kleene iteration.
+   boxes); everything else falls back to Kleene iteration. The worklists
+   are level-synchronous frontier passes over a reverse CSR of the
+   predicate's edges: each pass gathers every predecessor of the whole
+   frontier at once and settles them with one ``np.unique``, and since a
+   state enters a frontier at most once, each edge is gathered at most
+   once. Closed subformulas are memoised per evaluation context, so a
+   fixpoint nested inside another is solved once.
 
 The worklist fast paths matter: the paper's Requirement 3/4 formulas on
 multi-million-state LTSs would need thousands of full-vector Kleene
-rounds otherwise.
+rounds otherwise. Each pass is a fixed handful of numpy calls, so an
+LTS shaped like a long chain costs one pass per link (the ``levels``
+field of the ``fixpoint`` trace event).
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 
 import numpy as np
 
@@ -115,9 +122,13 @@ class _Context:
         self.lts = lts
         self.n = lts.n_states
         src, lbl, dst = lts.transition_arrays()
-        self.src = np.asarray(src, dtype=np.int64)
-        self.lbl = np.asarray(lbl, dtype=np.int64)
+        # edge columns sorted by destination once (edge order means
+        # nothing else), so each predicate's reverse CSR is a mask
         self.dst = np.asarray(dst, dtype=np.int64)
+        order = np.argsort(self.dst, kind="stable")
+        self.dst = self.dst[order]
+        self.src = np.asarray(src, dtype=np.int64)[order]
+        self.lbl = np.asarray(lbl, dtype=np.int64)[order]
         self.labels = lts.labels
         self._pred_masks: dict[ActionPredicate, np.ndarray] = {}
         self._csr_cache: dict[ActionPredicate, tuple] = {}
@@ -155,12 +166,10 @@ class _Context:
         cached = self._csr_cache.get(pred)
         if cached is not None:
             return cached
-        esrc, edst = self.edges(pred)
-        order = np.argsort(edst, kind="stable")
-        sorted_dst = edst[order]
-        order_src = esrc[order]
-        offsets = np.searchsorted(sorted_dst, np.arange(self.n + 1))
-        out_count = np.bincount(esrc, minlength=self.n).astype(np.int64)
+        order_src, dst_sel = self.edges(pred)
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst_sel, minlength=self.n), out=offsets[1:])
+        out_count = np.bincount(order_src, minlength=self.n)
         cached = (order_src, offsets, out_count)
         self._csr_cache[pred] = cached
         return cached
@@ -230,34 +239,39 @@ def _find_single_modal_occurrence(var: str, body: Formula):
     return None
 
 
-def _solve_mu_diamond(ctx, pred, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least X with ``X = a \\/ (b /\\ <pred>X)`` — reverse reachability."""
-    order_src, offsets, _ = ctx.reverse_csr(pred)
-    x = a.copy()
-    queue = deque(np.flatnonzero(x).tolist())
-    while queue:
-        t = queue.popleft()
-        for s in order_src[offsets[t] : offsets[t + 1]]:
-            if not x[s] and b[s]:
-                x[s] = True
-                queue.append(int(s))
-    return x
+def _solve_mu(ctx, pred, a: np.ndarray, b: np.ndarray, *, box: bool):
+    """Least X with ``X = a \\/ (b /\\ M X)``, ``M`` being ``<pred>``
+    (reverse reachability) or, with ``box``, ``[pred]`` (the counting
+    algorithm: for a ``b`` state ``s`` outside X, ``cnt[s]`` counts its
+    pred-edges not yet known to enter X, and ``s`` joins X at zero).
 
-
-def _solve_mu_box(ctx, pred, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least X with ``X = a \\/ (b /\\ [pred]X)`` — counting algorithm."""
+    Returns the solution and the number of frontier passes.
+    """
     order_src, offsets, out_count = ctx.reverse_csr(pred)
-    cnt = out_count.copy()
-    x = a | (b & (cnt == 0))
-    queue = deque(np.flatnonzero(x).tolist())
-    while queue:
-        t = queue.popleft()
-        for s in order_src[offsets[t] : offsets[t + 1]]:
-            cnt[s] -= 1
-            if not x[s] and b[s] and cnt[s] == 0:
-                x[s] = True
-                queue.append(int(s))
-    return x
+    if box:
+        cnt = out_count.copy()
+        x = a | (b & (cnt == 0))
+    else:
+        x = a.copy()
+    frontier = np.flatnonzero(x)
+    levels = 0
+    while len(frontier):
+        levels += 1
+        # gather every pred-edge into the frontier: edge i of the run
+        # for frontier[j] sits at starts[j] + i
+        starts = offsets[frontier]
+        lens = offsets[frontier + 1] - starts
+        run_base = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        srcs = order_src[run_base + np.arange(int(lens.sum()))]
+        srcs = srcs[b[srcs] & ~x[srcs]]
+        if box:
+            srcs, hits = np.unique(srcs, return_counts=True)
+            cnt[srcs] -= hits
+            frontier = srcs[cnt[srcs] == 0]
+        else:
+            frontier = np.unique(srcs)
+        x[frontier] = True
+    return x, levels
 
 
 # -- the evaluator -----------------------------------------------------------
@@ -274,13 +288,15 @@ class _Evaluator:
         ctx = self.ctx
         if f is self.hole:
             return self.hole_value  # type: ignore[return-value]
+        # a closed subformula cannot contain the hole (``<p>X`` has X
+        # free), so its value is the same under every hole value
         closed = not free_variables(f)
-        if closed and self.hole is None:
+        if closed:
             memo = ctx._memo.get(f)
             if memo is not None:
                 return memo
         result = self._eval(f, env)
-        if closed and self.hole is None:
+        if closed:
             ctx._memo[f] = result
         return result
 
@@ -333,10 +349,12 @@ class _Evaluator:
         recording = self.obs.enabled
         t0 = time.perf_counter() if recording else 0.0
 
-        def _observe(mode: str, iterations: int = 0) -> None:
+        def _observe(mode: str, iterations: int = 0, levels=None,
+                     edges=None) -> None:
             self.obs.tracer.emit(
                 "fixpoint", var=f.var, op="mu" if is_mu else "nu",
-                mode=mode, iterations=iterations, states=n,
+                mode=mode, iterations=iterations, levels=levels,
+                edges=edges, states=n,
                 seconds=round(time.perf_counter() - t0, 6),
             )
             self.obs.metrics.counter(
@@ -356,20 +374,18 @@ class _Evaluator:
             ones = np.ones(n, dtype=bool)
             a = self._eval_with_hole(f.body, node, zeros, env)
             b = self._eval_with_hole(f.body, node, ones, env)
-            if is_mu and kind == "diamond":
-                out = _solve_mu_diamond(ctx, pred, a, b)
-            elif is_mu and kind == "box":
-                out = _solve_mu_box(ctx, pred, a, b)
-            elif not is_mu and kind == "box":
+            box = kind == "box"
+            if is_mu:
+                out, levels = _solve_mu(ctx, pred, a, b, box=box)
+            else:
                 # nu X. a \/ (b /\ [p]X)  =  ~ mu Y. ~a /\ (~b \/ <p>Y)
                 #                        =  ~ mu Y. a' \/ (b' /\ <p>Y)
-                # with a' = ~a /\ ~b, b' = ~a
-                out = ~_solve_mu_diamond(ctx, pred, ~a & ~b, ~a)
-            else:
-                # nu X. a \/ (b /\ <p>X) = ~ mu Y. a' \/ (b' /\ [p]Y)
-                out = ~_solve_mu_box(ctx, pred, ~a & ~b, ~a)
+                # with a' = ~a /\ ~b, b' = ~a; dually for <p>X and [p]Y
+                out, levels = _solve_mu(ctx, pred, ~a & ~b, ~a, box=not box)
+                out = ~out
             if recording:
-                _observe(f"worklist-{kind}")
+                _observe(f"worklist-{kind}", levels=levels,
+                         edges=len(ctx.reverse_csr(pred)[0]))
             return out
         # Kleene iteration fallback
         x = np.zeros(n, dtype=bool) if is_mu else np.ones(n, dtype=bool)

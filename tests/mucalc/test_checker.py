@@ -199,12 +199,26 @@ def closed_formula(draw, depth=3):
                                     RSeq(RAct(AnyAct()), RAct(pred))]))
         inner = draw(closed_formula(depth=depth - 1))
         return Diamond(reg, inner) if kind == "dia" else Box(reg, inner)
-    # fixpoints: single-variable canonical shapes
+    # fixpoints: the four single-variable worklist shapes
     inner = draw(closed_formula(depth=depth - 1))
     lab = draw(st.sampled_from(labels))
-    if kind == "mu":
-        return Mu("Z", Or(inner, Diamond(RAct(ActLit(lab)), Var("Z"))))
-    return Nu("Z", And(inner, Box(RAct(ActLit(lab)), Var("Z"))))
+    modal = draw(st.sampled_from([Diamond, Box]))
+    return _fixpoint_shape(kind, modal, inner, lab)
+
+
+def _fixpoint_shape(op, modal, inner, lab, guard=None, twice=False):
+    """``mu Z. inner \\/ (guard /\\ M Z)`` or ``nu Z. inner /\\ (guard \\/ M Z)``
+    with ``M`` the single-step ``modal`` over ``lab``.
+
+    ``twice`` repeats the ``M Z`` occurrence, which leaves the meaning
+    unchanged but forces the Kleene fallback instead of a worklist.
+    """
+    step = modal(RAct(ActLit(lab)), Var("Z"))
+    if twice:
+        step = And(step, step)
+    if op == "mu":
+        return Mu("Z", Or(inner, step if guard is None else And(guard, step)))
+    return Nu("Z", And(inner, step if guard is None else Or(guard, step)))
 
 
 @given(random_lts(), closed_formula())
@@ -216,6 +230,22 @@ def test_checker_agrees_with_bes_backend(l, f):
     if r.n_states == 0:
         return
     assert holds(r, f) == bes_holds(r, f)
+
+
+@given(
+    random_lts(max_states=12, max_transitions=30),
+    st.sampled_from(["mu", "nu"]),
+    st.sampled_from([Diamond, Box]),
+    closed_formula(depth=2),
+    st.one_of(st.none(), closed_formula(depth=1)),
+    st.sampled_from(["a", "b", "c", "tau"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_worklist_shapes_match_kleene(l, op, modal, inner, guard, lab):
+    # whole satisfaction vectors, on unreachable states too
+    fast = check(l, _fixpoint_shape(op, modal, inner, lab, guard))
+    slow = check(l, _fixpoint_shape(op, modal, inner, lab, guard, twice=True))
+    assert np.array_equal(fast, slow)
 
 
 @given(random_lts())
@@ -298,8 +328,37 @@ def test_fast_path_matches_kleene_for_nu():
     assert np.array_equal(fast, slow)
 
 
+def _fixpoint_events(lts, f):
+    from repro import obs
+
+    inst = obs.Instrumentation(
+        metrics=obs.MetricsRegistry(), tracer=obs.Tracer(ring=1000)
+    )
+    with obs.activate(inst):
+        holds(lts, f)
+    return [e for e in inst.tracer.events() if e["ev"] == "fixpoint"]
+
+
 def test_deeply_nested_closed_fixpoints_memoised():
     l = ring()
     inner = Diamond(RSeq(RStar(RAct(AnyAct())), RAct(ActLit("d"))), Tt())
     f = Box(RStar(RAct(AnyAct())), Or(inner, Not(inner)))
     assert holds(l, f)  # tautology, but exercises memo + nesting
+    # the outer nu evaluates its body once per hole value; each of the
+    # two (differently named) inner mus is still solved only once
+    ops = sorted(e["op"] for e in _fixpoint_events(l, f))
+    assert ops == ["mu", "mu", "nu"]
+
+
+def test_nested_fixpoint_solved_once_per_formula():
+    from repro.jackal.requirements import formula_4_write
+
+    l = LTS(0)
+    l.add_transition(0, "write(t0)", 1)
+    l.add_transition(1, "tau", 2)
+    l.add_transition(2, "writeover(t0)", 0)
+    l.add_transition(0, "tau", 0)
+    f = formula_4_write(0)
+    assert holds(l, f)
+    ops = sorted(e["op"] for e in _fixpoint_events(l, f))
+    assert ops == ["mu", "nu"]

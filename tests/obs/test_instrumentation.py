@@ -155,6 +155,30 @@ def test_fixpoint_events_from_checker(small_lts):
     ) == len(fps)
 
 
+def test_fixpoint_events_carry_levels_and_edges():
+    from repro.lts.lts import LTS
+    from repro.mucalc.checker import check
+
+    # a chain 0 -a-> 1 -a-> ... -a-> 9 -d-> 10: one frontier pass per link
+    chain = LTS(0)
+    for s in range(9):
+        chain.add_transition(s, "a", s + 1)
+    chain.add_transition(9, "d", 10)
+    inst = _bundle()
+    with obs.activate(inst):
+        v = check(chain, parse_formula("mu X. (<d>T \\/ <T>X)"))
+        # a second occurrence of X forces Kleene iteration
+        check(chain, parse_formula("mu X. (<d>T \\/ (<T>X /\\ <T>X))"))
+    assert v[:10].all() and not v[10]
+    worklist, kleene = _events(inst, "fixpoint")
+    assert worklist["mode"] == "worklist-diamond"
+    # frontiers {9}, {8}, ..., {0}, then a pass that gathers nothing
+    assert worklist["levels"] == 10
+    assert worklist["edges"] == 10
+    assert kleene["mode"] == "kleene"
+    assert kleene["levels"] is None and kleene["edges"] is None
+
+
 def test_onthefly_product_events(chain_system):
     inst = _bundle()
     with obs.activate(inst):
